@@ -64,7 +64,8 @@ struct EvalContext {
   // allocates: the interpreter's operand stack (trees > 64 nodes), the
   // compiled program's register file (num_registers x bundles doubles),
   // the batched greedy's working memory (residuals, feature columns, score
-  // buffer, dirty set), and the static fast path's score column.
+  // buffer, dirty set; the selection repair borrows its useful-coverage
+  // column), and the static fast path's score column.
   std::vector<double> op_scratch;
   std::vector<double> reg_scratch;
   cover::GreedyScratch greedy_scratch;
@@ -159,8 +160,9 @@ void record_lp_metrics(obs::MetricsRegistry* metrics,
 /// fast path. Produces bit-identical covers to solve_with_heuristic on the
 /// same tree (the CompiledProgram equivalence contract; finite features
 /// only, which the solve path guarantees). When `metrics` is non-null the
-/// rescoring effort is recorded as greedy/rounds, greedy/bundles_rescored,
-/// greedy/rescore_slots counters and a greedy/rescored_frac gauge.
+/// rescoring effort is recorded as greedy/rounds, greedy/bundles_rescored
+/// and greedy/rescore_slots counters; the run-level rescored fraction is
+/// their ratio, derived where the counters are reported.
 [[nodiscard]] cover::SolveResult solve_with_program(
     EvalContext& ctx, const cover::Relaxation& relax,
     std::span<const double> pricing, const gp::CompiledProgram& program,
@@ -201,7 +203,9 @@ struct HeuristicBatchPlan {
     const cover::GreedyOptions& greedy = {});
 
 /// Repairs a binary customer genome to cover feasibility (cheapest useful
-/// coverage per cost first); the genome is respected otherwise. The round
+/// coverage per cost first); the genome is respected otherwise. Useful
+/// coverage is computed once, then updated per addition through
+/// cover::detail::select_bundle, the greedy's own bookkeeping. The round
 /// cap in `greedy` bounds repair ADDITIONS (bundles already set in the
 /// genome are free — the budget meters work, not genome content).
 [[nodiscard]] cover::SolveResult solve_with_selection(

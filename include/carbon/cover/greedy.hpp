@@ -21,6 +21,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -91,6 +92,55 @@ void eliminate_redundancy(const Instance& instance,
 void static_masses(const Instance& instance, std::span<const double> duals,
                    std::vector<double>& qsum, std::vector<double>& dual_mass);
 
+/// Useful coverage of every bundle against a (non-negative) residual:
+/// useful[j] = Σ_k min(q_jk, residual_k), summed in service order. This is
+/// the one O(M·N) pass of a construction; select_bundle keeps it current.
+void init_useful(const Instance& instance, std::span<const int> residual,
+                 std::vector<double>& useful);
+
+/// Selects bundle j: marks it, lowers the residual of every service it
+/// covers, and subtracts the lost coverage from the useful[] entry of each
+/// still-unselected supplier of those services, calling on_changed(i) for
+/// every bundle i whose entry moved (possibly more than once per i).
+/// Returns the demand covered, for the caller's outstanding total.
+///
+/// A service whose new residual is still >= max_supply(k) is skipped
+/// without walking its suppliers: every supplier has q <= r_new < r_old, so
+/// min(q, r_old) - min(q, r_new) = 0 for all of them. useful[] holds exact
+/// integers, so the skipped walks would only have subtracted zeros — the
+/// result is bit-identical to the full walk.
+template <typename OnChanged>
+long long select_bundle(const Instance& instance, std::size_t j,
+                        std::span<std::uint8_t> selection,
+                        std::span<int> residual, std::span<double> useful,
+                        OnChanged&& on_changed) {
+  selection[j] = 1;
+  const auto chosen = instance.bundle(j);
+  long long covered = 0;
+  for (std::size_t k = 0; k < chosen.size(); ++k) {
+    const int r_old = residual[k];
+    if (r_old <= 0 || chosen[k] <= 0) continue;
+    const int used = std::min(chosen[k], r_old);
+    const int r_new = r_old - used;
+    residual[k] = r_new;
+    covered += used;
+    if (r_new >= instance.max_supply(k)) continue;
+    // Only the suppliers of service k (CSR index, contiguous).
+    const auto idx = instance.suppliers(k);
+    const auto qty = instance.supplier_quantities(k);
+    for (std::size_t t = 0; t < idx.size(); ++t) {
+      const std::size_t i = idx[t];
+      if (selection[i]) continue;
+      const int q = qty[t];
+      const int delta = std::min(q, r_old) - std::min(q, r_new);
+      if (delta == 0) continue;
+      useful[i] -= delta;
+      on_changed(i);
+    }
+  }
+  return covered;
+}
+
 }  // namespace detail
 
 /// Runs the greedy with an arbitrary callable scorer (inlined at the call
@@ -106,7 +156,6 @@ template <typename Score>
                                                 {},
                                             const GreedyOptions& options = {}) {
   const std::size_t m = instance.num_bundles();
-  const std::size_t n = instance.num_services();
 
   SolveResult result;
   result.selection.assign(m, 0);
@@ -122,15 +171,8 @@ template <typename Score>
   detail::static_masses(instance, duals, qsum, dual_mass);
 
   // Incrementally maintained useful coverage: useful[j] = Σ_k min(q_jk, r_k).
-  std::vector<double> useful(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto row = instance.bundle(j);
-    double u = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      u += std::min(row[k], residual[k]);
-    }
-    useful[j] = u;
-  }
+  std::vector<double> useful;
+  detail::init_useful(instance, residual, useful);
 
   long long rounds = 0;
   while (outstanding > 0) {
@@ -171,26 +213,9 @@ template <typename Score>
       return result;
     }
 
-    result.selection[best_j] = 1;
-    const auto chosen = instance.bundle(best_j);
-    for (std::size_t k = 0; k < n; ++k) {
-      const int r_old = residual[k];
-      if (r_old <= 0 || chosen[k] <= 0) continue;
-      const int used = std::min(chosen[k], r_old);
-      const int r_new = r_old - used;
-      residual[k] = r_new;
-      outstanding -= used;
-      // Update useful coverage of the unselected bundles for this service.
-      // Iterates only the suppliers of service k (CSR index, contiguous).
-      const auto idx = instance.suppliers(k);
-      const auto qty = instance.supplier_quantities(k);
-      for (std::size_t t = 0; t < idx.size(); ++t) {
-        const std::size_t j = idx[t];
-        if (result.selection[j]) continue;
-        const int q = qty[t];
-        useful[j] -= std::min(q, r_old) - std::min(q, r_new);
-      }
-    }
+    outstanding -= detail::select_bundle(instance, best_j, result.selection,
+                                         residual, useful,
+                                         [](std::size_t) {});
   }
 
   if (options.eliminate_redundancy) {
@@ -279,7 +304,6 @@ template <typename BatchScore>
     const GreedyOptions& options = {}, GreedyScratch* scratch = nullptr,
     GreedyBatchStats* stats = nullptr) {
   const std::size_t m = instance.num_bundles();
-  const std::size_t n = instance.num_services();
 
   GreedyScratch local;
   GreedyScratch& s = scratch != nullptr ? *scratch : local;
@@ -301,15 +325,7 @@ template <typename BatchScore>
     s.xbar[j] = relaxed_x[j];
   }
 
-  s.useful.assign(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto row = instance.bundle(j);
-    double u = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      u += std::min(row[k], s.residual[k]);
-    }
-    s.useful[j] = u;
-  }
+  detail::init_useful(instance, s.residual, s.useful);
 
   // Round-invariance of the scorer decides the rescoring regime once.
   bool rescore_all = true;
@@ -414,30 +430,15 @@ template <typename BatchScore>
       return result;
     }
 
-    result.selection[best_j] = 1;
-    const auto chosen = instance.bundle(best_j);
-    for (std::size_t k = 0; k < n; ++k) {
-      const int r_old = s.residual[k];
-      if (r_old <= 0 || chosen[k] <= 0) continue;
-      const int used = std::min(chosen[k], r_old);
-      const int r_new = r_old - used;
-      s.residual[k] = r_new;
-      outstanding -= used;
-      const auto idx = instance.suppliers(k);
-      const auto qty = instance.supplier_quantities(k);
-      for (std::size_t t = 0; t < idx.size(); ++t) {
-        const std::size_t j = idx[t];
-        if (result.selection[j]) continue;
-        const int q = qty[t];
-        const int delta = std::min(q, r_old) - std::min(q, r_new);
-        if (delta == 0) continue;  // qcov untouched: score still exact
-        s.useful[j] -= delta;
-        if (track_dirty && !s.dirty_flag[j]) {
-          s.dirty_flag[j] = 1;
-          s.dirty.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-    }
+    // Bundles whose qcov did not move keep an exact score.
+    outstanding -= detail::select_bundle(
+        instance, best_j, result.selection, s.residual, s.useful,
+        [&s, track_dirty](std::size_t j) {
+          if (track_dirty && !s.dirty_flag[j]) {
+            s.dirty_flag[j] = 1;
+            s.dirty.push_back(static_cast<std::uint32_t>(j));
+          }
+        });
   }
 
   if (options.eliminate_redundancy) {

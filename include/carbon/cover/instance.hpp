@@ -63,6 +63,13 @@ class Instance {
             supplier_start_[k + 1] - supplier_start_[k]};
   }
 
+  /// Largest single-bundle quantity of service k (0 when nobody supplies
+  /// it). While residual r_k >= max_supply(k), min(q_jk, r_k) = q_jk for
+  /// every bundle, so lowering r_k that far changes no useful coverage.
+  [[nodiscard]] int max_supply(std::size_t k) const noexcept {
+    return max_supply_[k];
+  }
+
   /// Total supply of service k across all bundles.
   [[nodiscard]] long long total_supply(std::size_t k) const noexcept;
 
@@ -97,6 +104,7 @@ class Instance {
   std::vector<std::size_t> supplier_start_;   // size N+1
   std::vector<std::uint32_t> supplier_idx_;   // bundle indices
   std::vector<int> supplier_q_;               // matching quantities
+  std::vector<int> max_supply_;               // size N, column maxima
 };
 
 /// A solution to a covering instance.

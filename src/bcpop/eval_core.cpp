@@ -405,7 +405,6 @@ cover::SolveResult solve_with_program(EvalContext& ctx,
                            static_cast<long long>(stats.bundles_rescored));
       metrics->add_counter("greedy/rescore_slots",
                            static_cast<long long>(stats.rescore_slots));
-      metrics->set_gauge("greedy/rescored_frac", stats.rescored_frac());
     }
   }
   if (polish && solved.feasible) {
@@ -528,9 +527,14 @@ cover::SolveResult solve_with_selection(EvalContext& ctx,
   solved.selection.resize(ctx.ll.num_bundles(), 0);
 
   // Repair: add the cheapest-per-useful-coverage bundles until feasible.
+  // Useful coverage is computed once, then kept current per addition by
+  // the greedy's own bookkeeping (it lives in the context's greedy scratch).
+  const std::size_t m = ctx.ll.num_bundles();
   std::vector<int> residual = ctx.ll.residual_demand(solved.selection);
   long long outstanding = 0;
   for (int r : residual) outstanding += r;
+  std::vector<double>& useful = ctx.greedy_scratch.useful;
+  cover::detail::init_useful(ctx.ll, residual, useful);
   long long additions = 0;
   while (outstanding > 0) {
     if (greedy.max_rounds > 0 && additions >= greedy.max_rounds) {
@@ -541,38 +545,23 @@ cover::SolveResult solve_with_selection(EvalContext& ctx,
     }
     ++additions;
     double best_ratio = -1.0;
-    std::size_t best_j = ctx.ll.num_bundles();
-    for (std::size_t j = 0; j < ctx.ll.num_bundles(); ++j) {
-      if (solved.selection[j]) continue;
-      const auto row = ctx.ll.bundle(j);
-      long long useful = 0;
-      for (std::size_t k = 0; k < ctx.ll.num_services(); ++k) {
-        if (residual[k] > 0 && row[k] > 0) {
-          useful += std::min(row[k], residual[k]);
-        }
-      }
-      if (useful <= 0) continue;
-      const double ratio =
-          static_cast<double>(useful) / std::max(ctx.ll.cost(j), 1e-9);
+    std::size_t best_j = m;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (solved.selection[j] || useful[j] <= 0.0) continue;
+      const double ratio = useful[j] / std::max(ctx.ll.cost(j), 1e-9);
       if (ratio > best_ratio) {
         best_ratio = ratio;
         best_j = j;
       }
     }
-    if (best_j == ctx.ll.num_bundles()) {
+    if (best_j == m) {
       solved.feasible = false;
       solved.value = ctx.ll.selection_cost(solved.selection);
       return solved;
     }
-    solved.selection[best_j] = 1;
-    const auto row = ctx.ll.bundle(best_j);
-    for (std::size_t k = 0; k < ctx.ll.num_services(); ++k) {
-      if (residual[k] > 0 && row[k] > 0) {
-        const int used = std::min(row[k], residual[k]);
-        residual[k] -= used;
-        outstanding -= used;
-      }
-    }
+    outstanding -= cover::detail::select_bundle(
+        ctx.ll, best_j, solved.selection, residual, useful,
+        [](std::size_t) {});
   }
 
   solved.feasible = true;

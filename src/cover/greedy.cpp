@@ -59,6 +59,21 @@ void static_masses(const Instance& instance, std::span<const double> duals,
   }
 }
 
+void init_useful(const Instance& instance, std::span<const int> residual,
+                 std::vector<double>& useful) {
+  const std::size_t m = instance.num_bundles();
+  const std::size_t n = instance.num_services();
+  useful.assign(m, 0.0);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto row = instance.bundle(j);
+    double u = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      u += std::min(row[k], residual[k]);
+    }
+    useful[j] = u;
+  }
+}
+
 }  // namespace detail
 
 SolveResult greedy_solve_static(const Instance& instance,

@@ -55,6 +55,12 @@ void Instance::build_supplier_index() {
       ++cursor[k];
     }
   }
+  max_supply_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    int best = 0;
+    for (const int q : supplier_quantities(k)) best = std::max(best, q);
+    max_supply_[k] = best;
+  }
 }
 
 long long Instance::total_supply(std::size_t k) const noexcept {

@@ -405,6 +405,15 @@ int cmd_solve(const common::CliArgs& args) {
     for (const auto& [name, value] : snap.counters) {
       std::printf("  %s: %lld\n", name.c_str(), value);
     }
+    // Run-level share of dense rescoring slots the greedy recomputed.
+    const auto rescored = snap.counters.find("greedy/bundles_rescored");
+    const auto slots = snap.counters.find("greedy/rescore_slots");
+    if (rescored != snap.counters.end() && slots != snap.counters.end() &&
+        slots->second > 0) {
+      std::printf("  greedy/rescored_frac: %.6g\n",
+                  static_cast<double>(rescored->second) /
+                      static_cast<double>(slots->second));
+    }
     for (const auto& [name, value] : snap.gauges) {
       std::printf("  %s: %.6g\n", name.c_str(), value);
     }

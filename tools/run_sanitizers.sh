@@ -41,7 +41,11 @@ cd "$(dirname "$0")/.."
 # selection/eviction/clear contract; pool_golden_test runs pool-mode
 # solvers at eval_threads 4 where every select/insert must stay on the
 # batch-submitting thread — TSan sees any stage-B worker touching the
-# pool, and ASan checks the copied-basis lifetime across the fan-out).
+# pool, and ASan checks the copied-basis lifetime across the fan-out), and
+# the coverage-bookkeeping suites (max_supply_test pins the per-service
+# maxima the greedy's supplier-walk skip relies on; selection_repair_test
+# runs the incremental COBRA repair on a reused context scratch, where
+# ASan checks every index into it).
 # This is the same set labeled `sanitizer-critical` in
 # tests/CMakeLists.txt.
 TESTS=(thread_pool_test task_scheduler_test metrics_test
@@ -50,7 +54,8 @@ TESTS=(thread_pool_test task_scheduler_test metrics_test
        simplex_differential_test checkpoint_resume_test
        gp_simd_eval_test greedy_incremental_test
        guard_test guard_degradation_test
-       basis_pool_test pool_golden_test)
+       basis_pool_test pool_golden_test
+       max_supply_test selection_repair_test)
 
 FAILED=()
 
