@@ -16,9 +16,12 @@
 //
 //   evaluator — a CARBON-shaped workload (generations of pricing x
 //   heuristic batches, the pricing pool reused across generations) replayed
-//   through ParallelEvaluator under sched {parallel_for, stealing} x
-//   memo_xgen {off, on}, reporting evaluations/second, the cross-generation
-//   memo hit rate, and the scheduler's task/steal counters.
+//   through bcpop::Evaluator x memo_xgen {off, on}: one row per memo setting
+//   at threads = 1 (one participant, inline on the calling thread — the
+//   baseline the other rows scale against), and rows under sched
+//   {parallel_for, stealing} for every larger thread count. Reports
+//   evaluations/second, the cross-generation memo hit rate, and the
+//   scheduler's task/steal counters.
 //
 // Note the wall-clock numbers are bounded by the machine: on a single
 // hardware thread the parallel paths can only show their coordination
@@ -38,7 +41,6 @@
 #include <vector>
 
 #include "carbon/bcpop/evaluator.hpp"
-#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/common/task_scheduler.hpp"
 #include "carbon/common/thread_pool.hpp"
@@ -227,11 +229,8 @@ struct EvalRow {
 
 EvalRow run_eval_row(const Workload& w, std::size_t threads,
                      common::SchedKind kind, bool memo) {
-  bcpop::ParallelEvaluator::Options opt;
-  opt.threads = threads;
-  opt.sched = kind;
-  opt.memo_xgen = memo;
-  bcpop::ParallelEvaluator eval(w.instance, opt);
+  bcpop::Evaluator eval(
+      w.instance, {.threads = threads, .sched = kind, .memo_xgen = memo});
 
   const auto t0 = Clock::now();
   for (int g = 0; g < w.generations; ++g) {
@@ -242,8 +241,9 @@ EvalRow run_eval_row(const Workload& w, std::size_t threads,
 
   EvalRow row;
   row.threads = threads;
-  row.sched =
-      kind == common::SchedKind::kStealing ? "stealing" : "parallel_for";
+  row.sched = threads == 1                          ? "inline"
+              : kind == common::SchedKind::kStealing ? "stealing"
+                                                     : "parallel_for";
   row.memo_xgen = memo;
   row.seconds = std::chrono::duration<double>(t1 - t0).count();
   row.evals = static_cast<long long>(w.batch.size()) * w.generations;
@@ -303,9 +303,13 @@ int main(int argc, char** argv) {
   std::printf("\nevaluator replay: %zu jobs/generation x %d generations\n",
               w.batch.size(), w.generations);
   std::vector<EvalRow> rows;
-  for (const std::size_t t : thread_counts) {
+  std::vector<std::size_t> eval_threads = thread_counts;
+  if (eval_threads.front() != 1) eval_threads.insert(eval_threads.begin(), 1);
+  for (const std::size_t t : eval_threads) {
     for (const common::SchedKind kind :
          {common::SchedKind::kParallelFor, common::SchedKind::kStealing}) {
+      // One participant runs no engine: a single row per memo setting.
+      if (t == 1 && kind != common::SchedKind::kStealing) continue;
       for (const bool memo : {false, true}) {
         rows.push_back(run_eval_row(w, t, kind, memo));
       }

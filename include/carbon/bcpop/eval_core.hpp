@@ -1,4 +1,4 @@
-// Evaluation core shared by the serial and parallel BCPOP evaluators.
+// Evaluation core of bcpop::Evaluator (and the sequential test oracle).
 //
 // Everything here is a pure function of (context, inputs): no counters, no
 // caches, no hidden state that depends on call history. That property is
@@ -42,9 +42,9 @@ struct EvalContext {
   /// this context alone.
   explicit EvalContext(const Instance& instance);
   /// Clones the relaxation structure from a shared, already-validated
-  /// family — the parallel evaluator builds ONE RelaxationFamily and stamps
-  /// out per-thread contexts from it, so the matrix is built/validated and
-  /// the baseline LP solved once per evaluator instead of once per thread.
+  /// family — a multi-participant evaluator builds ONE RelaxationFamily and
+  /// stamps out per-thread contexts from it, so the matrix is built/validated
+  /// and the baseline LP solved once per evaluator instead of once per thread.
   EvalContext(const Instance& instance, const cover::RelaxationFamily& shared);
 
   const Instance* inst;

@@ -6,26 +6,66 @@
 //   2. solves (and memoizes) the LP relaxation -> LB(x), duals d_k, x̄,
 //   3. obtains a customer decision y: either by running a (GP-evolved)
 //      greedy heuristic, or by repairing a binary genome (COBRA's encoding),
-//   4. reports F (leader revenue), f = A(x) (customer cost) and the %-gap.
+//   4. reports F (leader revenue), f = A(x) (customer cost) and the %-gap,
+// and keeps the UL/LL evaluation counters used as the stopping criterion
+// (Table II allots 50 000 evaluations to each level). The arithmetic lives
+// in eval_core.hpp; this class adds caching, batching and fan-out.
 //
-// It also keeps the UL/LL evaluation counters used as the stopping criterion
-// (Table II allots 50 000 evaluations to each level).
+// Participants (Options::threads):
+//   * 1 — one participant. Everything runs inline on the calling thread: no
+//     worker thread, no scheduler, exactly one EvalContext and one shard per
+//     cache, so the caches evolve in exact call order.
+//   * N >= 2 — N workers plus the calling thread. Batches fan out on a
+//     work-stealing common::TaskScheduler (default) or the barriered
+//     common::ThreadPool reference path (Options::sched); each participant
+//     evaluates with its OWN EvalContext, relaxations are shared through a
+//     sharded, mutex-per-shard LRU (ShardedRelaxationCache) with
+//     once-semantics, and the budget counters are atomics.
+//   * 0 — hardware_concurrency() participants in total, the caller included.
 //
-// This class is the SERIAL evaluator: one evaluation context, one-shard LRU
-// memo, deterministic call-order semantics. The evaluation arithmetic lives
-// in eval_core.hpp and is shared with bcpop::ParallelEvaluator, which fans
-// batches across threads and produces bit-identical Evaluations.
+// Finished heuristic Evaluations are memoized ACROSS generations in a
+// bounded ScoreCache; hits still charge the Table II budgets, so the
+// trajectory is untouched (docs/ALGORITHMS.md §14). Batch results are
+// returned in submission order.
+//
+// Determinism: every Evaluation is a pure function of its job inputs (the
+// relaxation solve warm-starts from a fixed baseline basis; greedy, repair
+// and scoring are deterministic; evaluation consumes no RNG), and solvers
+// reduce batch results in submission order — so a run is bit-identical for
+// any participant count at a fixed seed.
+//
+// Pool mode (Options::lp_warm = LpWarm::kPool, docs/ALGORITHMS.md §15):
+// relaxation solves warm-start from the nearest pooled basis instead of the
+// fixed baseline. Batches then run a staged discipline — cache probes and
+// pool selections on the calling thread in submission order, LP solves
+// fanned out with pre-copied start bases, commits back on the calling
+// thread in submission order — so the pool, the (1-shard) caches and every
+// counter evolve identically for any participant count and either engine.
+// A rejected pooled basis is re-solved from the fixed baseline, making the
+// result bit-identical to a pool miss. Scalar entry points in pool mode run
+// the same staging inline and are NOT safe to call concurrently (the
+// solvers only call them from their main loop); the wall-clock watchdog
+// skip is not applied on pooled batch solves (it is explicitly
+// non-deterministic and suspends the score memo anyway).
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
+#include <vector>
 
+#include "carbon/bcpop/basis_pool.hpp"
 #include "carbon/bcpop/eval_core.hpp"
 #include "carbon/bcpop/evaluator_interface.hpp"
 #include "carbon/bcpop/instance.hpp"
 #include "carbon/bcpop/relaxation_cache.hpp"
 #include "carbon/bcpop/score_cache.hpp"
+#include "carbon/common/task_scheduler.hpp"
+#include "carbon/common/thread_pool.hpp"
 #include "carbon/cover/greedy.hpp"
 #include "carbon/gp/tree.hpp"
 #include "carbon/obs/metrics.hpp"
@@ -38,9 +78,36 @@ class Evaluator final : public EvaluatorInterface {
   using EvaluatorInterface::evaluate_with_selection;
   using RelaxationPtr = ShardedRelaxationCache::RelaxationPtr;
 
-  explicit Evaluator(const Instance& instance,
-                     std::size_t relaxation_cache_capacity = 4096,
-                     std::size_t score_cache_capacity = 4096);
+  struct Options {
+    /// 1 = one participant (inline); N >= 2 = N workers plus the caller;
+    /// 0 = hardware_concurrency() participants in total.
+    std::size_t threads = 0;
+    std::size_t relaxation_cache_capacity = 4096;
+    /// Ignored (one shard) with one participant or in pool mode.
+    std::size_t cache_shards = 16;
+    /// Fan-out engine with two or more participants: the work-stealing
+    /// TaskScheduler (default) or the barriered ThreadPool::parallel_for
+    /// reference path. Bit-identical results either way.
+    common::SchedKind sched = common::SchedKind::kStealing;
+    /// Cross-generation score memoization (docs/ALGORITHMS.md §14).
+    bool memo_xgen = true;
+    std::size_t score_cache_capacity = 4096;
+    /// Ignored (one shard) with one participant or in pool mode.
+    std::size_t score_cache_shards = 16;
+    /// Warm-start policy for the LL relaxation solves. kPool switches the
+    /// evaluator to the staged pool discipline (see the header comment) and
+    /// forces both caches to ONE shard so their eviction order is the
+    /// call-order LRU for any participant count; kBaseline (default) keeps
+    /// every existing golden trajectory bit-for-bit intact.
+    LpWarm lp_warm = LpWarm::kBaseline;
+    /// Bound on the basis pool (pool mode only).
+    std::size_t basis_pool_capacity = BasisPool::kDefaultCapacity;
+  };
+
+  /// One participant, default cache capacities.
+  explicit Evaluator(const Instance& instance)
+      : Evaluator(instance, Options{.threads = 1}) {}
+  Evaluator(const Instance& instance, Options options);
 
   /// Greedy driven by a GP scoring tree (CARBON's lower level). Scoring
   /// trees without residual-dependent terminals take the sort-based
@@ -49,7 +116,8 @@ class Evaluator final : public EvaluatorInterface {
                                      const gp::Tree& heuristic,
                                      EvalPurpose purpose) override;
 
-  /// Greedy driven by an arbitrary scoring function (baselines, tests).
+  /// Greedy driven by an arbitrary scoring function (baselines, tests). Not
+  /// memoized and not subject to fault injection.
   Evaluation evaluate_with_score(std::span<const double> pricing,
                                  const cover::ScoreFunction& score,
                                  EvalPurpose purpose = EvalPurpose::kBoth);
@@ -61,31 +129,41 @@ class Evaluator final : public EvaluatorInterface {
                                      std::span<const std::uint8_t> selection,
                                      EvalPurpose purpose) override;
 
-  /// Heuristic batches deduplicate via the per-batch score memo: jobs with
-  /// an identical (tree, pricing, purpose) key — canonical tree form when
-  /// compiled scoring is on — are evaluated once and the result is copied
-  /// to every duplicate. Duplicates still charge the Table II budget, so
-  /// trajectories are bit-identical to the scalar path.
+  /// Results[i] answers jobs[i]. Heuristic batches first deduplicate through
+  /// the per-batch score memo (planned on the calling thread, so the
+  /// evaluated set is independent of the participant count); duplicates
+  /// still charge the Table II budget. With one participant (baseline mode)
+  /// each unique probes the score memo, solves and inserts before the next
+  /// one starts; otherwise all uniques probe first, the misses fan out, and
+  /// the inserts follow in unique order.
   std::vector<Evaluation> evaluate_heuristic_batch(
       std::span<const HeuristicJob> jobs) override;
+  std::vector<Evaluation> evaluate_selection_batch(
+      std::span<const SelectionJob> jobs) override;
+
+  /// LP relaxation of LL(pricing), memoized in the relaxation cache (and
+  /// warm-started through the basis pool in pool mode). The returned entry
+  /// is pinned: it stays valid for as long as the caller holds the pointer,
+  /// no matter what the cache evicts afterwards.
+  [[nodiscard]] RelaxationPtr relaxation(std::span<const double> pricing);
 
   /// When enabled, heuristic-built covers are polished with
   /// cover::local_search (drop + swap descent) before scoring — the memetic
-  /// variant evaluated by bench/ablation_memetic. Off by default: the paper's
-  /// CARBON scores the raw greedy output. Toggling drops the cross-generation
-  /// score cache (its entries were computed under the other setting).
+  /// variant. Off by default: the paper's CARBON scores the raw greedy
+  /// output. Toggling drops the cross-generation score cache (its entries
+  /// were computed under the other setting). Configure between batches.
   void set_polish(bool enabled) noexcept {
     if (enabled != polish_) xgen_.clear();
     polish_ = enabled;
   }
   [[nodiscard]] bool polish() const noexcept { return polish_; }
 
-  /// When enabled (the default), scoring trees are compiled once per
-  /// evaluation (once per batch per distinct genome) into batched SoA
-  /// bytecode instead of being re-interpreted per bundle — bit-identical
-  /// results, see gp::CompiledProgram. Off = the reference interpreter.
-  /// Toggling drops the cross-generation score cache (the two backends key
-  /// by different node forms: canonical vs raw).
+  /// When enabled (the default), scoring trees are compiled into batched
+  /// SoA bytecode (one compile per distinct genome per batch) instead of
+  /// being re-interpreted per bundle — bit-identical results, see
+  /// gp::CompiledProgram. Toggling drops the cross-generation score cache
+  /// (the backends key by different node forms: canonical vs raw).
+  /// Configure between batches.
   void set_compiled_scoring(bool enabled) noexcept {
     if (enabled != compiled_scoring_) xgen_.clear();
     compiled_scoring_ = enabled;
@@ -100,22 +178,33 @@ class Evaluator final : public EvaluatorInterface {
   [[nodiscard]] std::size_t genome_length() const override {
     return inst_.num_bundles();
   }
-
-  /// LP relaxation of LL(pricing), memoized in a bounded LRU. The returned
-  /// entry is pinned: it stays valid for as long as the caller holds the
-  /// pointer, no matter what the cache evicts afterwards.
-  [[nodiscard]] RelaxationPtr relaxation(std::span<const double> pricing);
-
   [[nodiscard]] const Instance& instance() const noexcept { return inst_; }
-
-  /// Number of charged UL fitness evaluations (F computations) so far.
-  [[nodiscard]] long long ul_evaluations() const noexcept override {
-    return ul_evals_;
+  /// Threads that may run an evaluation (workers plus the caller).
+  [[nodiscard]] std::size_t participants() const noexcept {
+    return contexts_.size();
   }
-  /// Number of LL solution constructions so far (heuristic applications or
-  /// genome evaluations).
-  [[nodiscard]] long long ll_evaluations() const noexcept override {
-    return ll_evals_;
+  /// Warm-start policy this evaluator was built with (immutable: switching
+  /// would invalidate cached relaxations computed under the other policy).
+  [[nodiscard]] LpWarm lp_warm() const noexcept { return lp_warm_; }
+  /// The warm-start basis pool (empty and untouched under kBaseline).
+  [[nodiscard]] const BasisPool& basis_pool() const noexcept {
+    return basis_pool_;
+  }
+  /// Scheduler-side counters (tasks/steals/idle); all-zero with one
+  /// participant or under the ThreadPool engine. Timing-dependent —
+  /// observability only.
+  [[nodiscard]] common::TaskScheduler::Stats sched_stats() const noexcept {
+    return scheduler_ ? scheduler_->stats() : common::TaskScheduler::Stats{};
+  }
+
+  /// Charged UL fitness evaluations (F computations) so far.
+  [[nodiscard]] long long ul_evaluations() const override {
+    return ul_evals_.load(std::memory_order_relaxed);
+  }
+  /// LL solution constructions so far (heuristic applications or genome
+  /// evaluations).
+  [[nodiscard]] long long ll_evaluations() const override {
+    return ll_evals_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] long long relaxations_solved() const noexcept {
     return cache_.solves();
@@ -123,18 +212,21 @@ class Evaluator final : public EvaluatorInterface {
   [[nodiscard]] long long relaxation_cache_hits() const noexcept {
     return cache_.hits();
   }
+  [[nodiscard]] const ShardedRelaxationCache& cache() const noexcept {
+    return cache_;
+  }
   /// Batch heuristic jobs answered by the per-batch score memo instead of a
   /// fresh greedy solve (still charged to the budget).
   [[nodiscard]] long long heuristic_dedup_hits() const noexcept {
-    return dedup_hits_;
+    return dedup_hits_.load(std::memory_order_relaxed);
   }
 
   /// Cross-generation score memoization (docs/ALGORITHMS.md §14): finished
   /// heuristic Evaluations are cached across batches and generations, keyed
   /// by (tree nodes × pricing × purpose). Hits still charge the Table II
-  /// budgets, so the trajectory is bit-identical either way; off = every
-  /// repeat re-solves. Disabled automatically while the (explicitly
-  /// non-deterministic) wall-clock watchdog is armed.
+  /// budgets, so trajectories are bit-identical either way. Suspended
+  /// automatically while the wall-clock watchdog is armed. Configure
+  /// between batches.
   void set_memo_xgen(bool enabled) noexcept {
     if (!enabled) xgen_.clear();
     memo_xgen_ = enabled;
@@ -147,19 +239,20 @@ class Evaluator final : public EvaluatorInterface {
   /// Uniform telemetry snapshot (cache + memo counters).
   [[nodiscard]] BackendStats backend_stats() const override;
 
-  /// Attaches a metrics registry: LP-relaxation solves and LL greedy solves
-  /// are then timed under "time/lp_relaxation" and "time/ll_solve".
-  /// Trajectory-neutral — results are bit-identical with or without it.
+  /// Attaches a metrics registry; LP-relaxation solves and LL greedy solves
+  /// are then timed under "time/lp_relaxation" and "time/ll_solve" from
+  /// whichever participant ran them (the registry is thread-sharded).
+  /// Configure between batches; trajectory-neutral.
   void set_metrics(obs::MetricsRegistry* metrics) noexcept override {
     metrics_ = metrics;
   }
 
-  /// Installs deterministic per-evaluation budgets + the injection hook.
-  /// Cap-induced degradations are pure functions of (pricing, limits) and
-  /// ride the caches; changing the LIMITS therefore drops both the
-  /// relaxation cache and the cross-generation score cache (entries warmed
-  /// under other limits would serve stale rungs). Injected trips depend on
-  /// the evaluation ordinal and always bypass both caches.
+  /// Installs deterministic per-evaluation budgets + the injection hook on
+  /// every context. Injection ordinals are assigned in submission order
+  /// (batch job i gets ordinal base+i, planned before fan-out), so the trip
+  /// lands on the same evaluation for any participant count. Configure
+  /// between batches. Changing the LIMITS drops both caches — entries
+  /// warmed under other limits would serve stale degradation rungs.
   void set_guard(const guard::GuardConfig& config,
                  long long eval_base) noexcept override;
 
@@ -168,55 +261,112 @@ class Evaluator final : public EvaluatorInterface {
   void clear_caches() noexcept override;
 
  private:
-  /// Charges the budget counters for one evaluation of `purpose`.
-  void charge(EvalPurpose purpose) noexcept;
-  /// Folds one charged evaluation's guard outcome into the trip counters
-  /// (and the obs guard/* counters when a registry is attached).
-  void count_guard(const Evaluation& evaluation) noexcept;
-  /// True when the evaluation with this ll ordinal must be force-tripped.
-  [[nodiscard]] bool inject_now(long long ordinal) const noexcept {
-    return inject_at_ >= 0 && ordinal == inject_at_;
-  }
-  /// Construction stage + scoring under the guard plan for `relax`:
-  /// skip-or-solve, then finalize. `program` (optional) supplies an already
-  /// compiled form of `heuristic`.
-  Evaluation finish_heuristic(const cover::Relaxation& relax,
-                              std::span<const double> pricing,
-                              const gp::Tree& heuristic,
-                              const gp::CompiledProgram* program,
-                              EvalPurpose purpose);
-  Evaluation finish_selection(const cover::Relaxation& relax,
-                              std::span<const double> pricing,
-                              std::span<const std::uint8_t> selection,
-                              EvalPurpose purpose);
+  /// RAII lease of one evaluation context from the free list.
+  class ContextLease;
+  /// RAII block of per-participant context leases for a scheduler batch
+  /// (acquired lazily: a participant that never runs a job never leases).
+  class BatchLeases;
+
+  /// Runs body(ctx, i) for every i in [0, n), handing each invocation a
+  /// leased context: inline in index order with one participant, else on
+  /// the configured engine. Under the work-stealing engine one context is
+  /// leased per PARTICIPANT for the whole batch, and sched/{tasks,steals,
+  /// idle_ns} deltas are pushed to the metrics registry at the barrier.
+  void for_each(std::size_t n,
+                const std::function<void(EvalContext&, std::size_t)>& body);
 
   /// True when the cross-generation cache may serve/absorb results right
-  /// now (armed watchdog makes evaluations wall-clock-dependent, so it
-  /// suspends the cache).
+  /// now (armed watchdog makes evaluations wall-clock-dependent).
   [[nodiscard]] bool xgen_active() const noexcept {
     return memo_xgen_ && guard_.limits.watchdog_seconds <= 0.0;
   }
 
+  /// Free-list primitives behind ContextLease/BatchLeases.
+  [[nodiscard]] EvalContext* acquire_context();
+  void release_context(EvalContext* ctx) noexcept;
+
+  /// Baseline-mode relaxation of `pricing`: a fresh forced-trip solve when
+  /// `injected` (the degradation is ordinal-dependent, so it bypasses the
+  /// cache), the shared cache otherwise. `*late` reports that the
+  /// wall-clock watchdog fired while the cached relaxation was resolved.
+  [[nodiscard]] RelaxationPtr relaxation_for(EvalContext& ctx,
+                                             std::span<const double> pricing,
+                                             bool injected, bool* late);
+  /// The relaxation cache's compute-on-miss path.
+  [[nodiscard]] RelaxationPtr cached_relaxation(
+      EvalContext& ctx, std::span<const double> pricing);
+  /// Pool-mode staged relaxation resolution: stage A probes the cache and
+  /// selects (copying) pooled start bases on the calling thread in
+  /// submission order; stage B fans the misses out through
+  /// solve_relaxation_pooled (a rejected pooled basis is re-solved from the
+  /// fixed baseline); stage C — again the calling thread, in submission
+  /// order — records metrics and pool counters, commits final bases to the
+  /// pool and inserts results into the cache. Returns one pinned relaxation
+  /// per input pricing (duplicates share a solve). Must be called without
+  /// holding a context lease.
+  [[nodiscard]] std::vector<RelaxationPtr> resolve_pooled(
+      std::span<const std::span<const double>> pricings);
+
+  /// Relaxation, watchdog and construction for one baseline-mode job,
+  /// WITHOUT charging (callers charge per submitted job so memo hits still
+  /// pay). Null `program` = interpreter.
+  Evaluation heuristic_job(EvalContext& ctx, const HeuristicJob& job,
+                           const gp::CompiledProgram* program, bool injected);
+  Evaluation selection_job(EvalContext& ctx, const SelectionJob& job,
+                           bool injected);
+  /// Construction stage alone, for an already resolved relaxation.
+  Evaluation finish_heuristic(EvalContext& ctx, const cover::Relaxation& relax,
+                              const HeuristicJob& job,
+                              const gp::CompiledProgram* program);
+  Evaluation finish_selection(EvalContext& ctx, const cover::Relaxation& relax,
+                              const SelectionJob& job);
+  void charge(EvalPurpose purpose) noexcept;
+  void count_guard(const Evaluation& evaluation) noexcept;
+  [[nodiscard]] bool inject_now(long long ordinal) const noexcept {
+    return inject_at_ >= 0 && ordinal == inject_at_;
+  }
+
   const Instance& inst_;
-  EvalContext ctx_;
+  LpWarm lp_warm_;
+  // At most one engine, per Options::sched; none with one participant.
+  std::unique_ptr<common::ThreadPool> pool_;
+  std::unique_ptr<common::TaskScheduler> scheduler_;
   ShardedRelaxationCache cache_;
   ScoreCache xgen_;
-  bool memo_xgen_ = true;
+  bool memo_xgen_;
+  // One context per participant: every worker plus the caller thread (scalar
+  // calls and the share of a batch the caller runs never starve).
+  std::vector<std::unique_ptr<EvalContext>> contexts_;
+  std::vector<EvalContext*> free_contexts_;
+  std::mutex free_mutex_;
+  std::condition_variable free_cv_;
+  std::atomic<long long> ul_evals_{0};
+  std::atomic<long long> ll_evals_{0};
+  std::atomic<long long> dedup_hits_{0};
+  std::atomic<long long> guard_trips_{0};
+  std::atomic<long long> guard_degraded_{0};
+  std::atomic<long long> guard_exhausted_{0};
+  /// Warm-start bases the solver rejected (any mode; participants count
+  /// their own baseline-mode solves, hence atomic).
+  std::atomic<long long> warm_rejects_{0};
+  // Pool-mode state. The pool and these counters are only ever touched on
+  // the batch-submitting thread (stage A/C of resolve_pooled), in
+  // submission order — which is the determinism argument for plain fields.
+  BasisPool basis_pool_;
+  long long pool_hits_ = 0;
+  long long pool_rejects_ = 0;
+  long long pivots_saved_ = 0;
+  /// Running mean inputs for the pivots_saved estimate: iterations of
+  /// baseline-start, full-rung, feasible solves seen so far. Reset with the
+  /// pool (clear_caches / limit changes) so a resumed segment estimates
+  /// from its own history only.
+  long long base_iter_sum_ = 0;
+  long long base_iter_count_ = 0;
   bool polish_ = false;
   bool compiled_scoring_ = true;
   obs::MetricsRegistry* metrics_ = nullptr;
   guard::GuardConfig guard_{};
   long long inject_at_ = -1;  ///< Absolute ll ordinal to trip; -1 = never.
-  long long ul_evals_ = 0;
-  long long ll_evals_ = 0;
-  long long dedup_hits_ = 0;
-  /// Fresh LP solves whose warm-start basis the solver rejected. The serial
-  /// evaluator is baseline-only (no basis pool), so the pool counters in
-  /// BackendStats stay zero here.
-  long long warm_rejects_ = 0;
-  long long guard_trips_ = 0;
-  long long guard_degraded_ = 0;
-  long long guard_exhausted_ = 0;
 };
 
 }  // namespace carbon::bcpop

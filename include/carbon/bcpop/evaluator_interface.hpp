@@ -133,8 +133,8 @@ class EvaluatorInterface {
   /// submission order (results[i] answers jobs[i] — solvers rely on that for
   /// deterministic reduction). The default runs the jobs serially in order,
   /// so a solver written against the batch API behaves bit-identically to
-  /// one written against the scalar calls; ParallelEvaluator overrides this
-  /// to fan the jobs across a thread pool.
+  /// one written against the scalar calls; bcpop::Evaluator overrides this
+  /// to deduplicate the jobs and fan them across its participants.
   virtual std::vector<Evaluation> evaluate_heuristic_batch(
       std::span<const HeuristicJob> jobs) {
     std::vector<Evaluation> results;

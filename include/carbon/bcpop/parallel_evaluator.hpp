@@ -1,329 +1,11 @@
-// Parallel batch evaluation of BCPOP pricings.
-//
-// A generation of CARBON or COBRA evaluates hundreds of independent
-// (pricing × heuristic) or (pricing × genome) pairs before any reduction
-// happens — the hottest path of the whole system (Table II allots 10^5
-// evaluations per run). ParallelEvaluator fans those batches across a
-// work-stealing common::TaskScheduler (default) or the barriered
-// common::ThreadPool reference path (Options::sched):
-//
-//   * each worker evaluates with its OWN EvalContext (market copy, LP,
-//     fixed warm-start basis) — no shared mutable state on the solve path;
-//   * relaxations are shared through a sharded, mutex-per-shard LRU cache
-//     (ShardedRelaxationCache) with once-semantics, so a pricing reused
-//     across jobs, threads, and generations is solved exactly once;
-//   * finished heuristic Evaluations are memoized ACROSS generations in a
-//     bounded ScoreCache (hits still charge the Table II budgets, so the
-//     trajectory is untouched — docs/ALGORITHMS.md §14);
-//   * budget counters are atomics, aggregated per job;
-//   * batch results are returned in submission order.
-//
-// Determinism: every Evaluation is a pure function of its job inputs (the
-// relaxation solve warm-starts from a fixed baseline basis; greedy, repair
-// and scoring are deterministic; evaluation consumes no RNG), and solvers
-// reduce batch results in submission order — so a run with N threads is
-// bit-identical to the serial path for a fixed seed, for any N.
-//
-// Pool mode (Options::lp_warm = LpWarm::kPool, docs/ALGORITHMS.md §15):
-// relaxation solves warm-start from the nearest pooled basis instead of the
-// fixed baseline. Batches then run a staged discipline — cache probes and
-// pool selections on the calling thread in submission order, LP solves
-// fanned out with pre-copied start bases, commits back on the calling
-// thread in submission order — so the pool, the (1-shard) caches and every
-// counter evolve identically for any thread count and either engine. A
-// rejected pooled basis is re-solved from the fixed baseline, making the
-// result bit-identical to a pool miss. Scalar entry points in pool mode run
-// the same staging inline and are NOT safe to call concurrently (the
-// solvers only call them from their main loop); the wall-clock watchdog
-// skip is not applied on pooled batch solves (it is explicitly
-// non-deterministic and suspends the score memo anyway).
+// ParallelEvaluator names the same class as bcpop::Evaluator; callers that
+// build a multi-participant evaluator may spell it either way.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <span>
-#include <vector>
-
-#include "carbon/bcpop/basis_pool.hpp"
-#include "carbon/bcpop/eval_core.hpp"
-#include "carbon/bcpop/evaluator_interface.hpp"
-#include "carbon/bcpop/instance.hpp"
-#include "carbon/bcpop/relaxation_cache.hpp"
-#include "carbon/bcpop/score_cache.hpp"
-#include "carbon/common/task_scheduler.hpp"
-#include "carbon/common/thread_pool.hpp"
-#include "carbon/obs/metrics.hpp"
+#include "carbon/bcpop/evaluator.hpp"
 
 namespace carbon::bcpop {
 
-class ParallelEvaluator final : public EvaluatorInterface {
- public:
-  using EvaluatorInterface::evaluate_with_heuristic;
-  using EvaluatorInterface::evaluate_with_selection;
-
-  struct Options {
-    std::size_t threads = 0;  ///< 0 = hardware concurrency
-    std::size_t relaxation_cache_capacity = 4096;
-    std::size_t cache_shards = 16;
-    /// Fan-out engine: the work-stealing TaskScheduler (default) or the
-    /// barriered ThreadPool::parallel_for reference path. Bit-identical
-    /// results either way; stealing overlaps a slow relaxation-miss job
-    /// with the rest of the batch instead of idling behind chunk barriers.
-    common::SchedKind sched = common::SchedKind::kStealing;
-    /// Cross-generation score memoization (docs/ALGORITHMS.md §14).
-    bool memo_xgen = true;
-    std::size_t score_cache_capacity = 4096;
-    std::size_t score_cache_shards = 16;
-    /// Warm-start policy for the LL relaxation solves. kPool switches the
-    /// evaluator to the staged pool discipline (see the header comment) and
-    /// forces both caches to ONE shard so their eviction order matches the
-    /// serial LRU exactly; kBaseline (default) leaves PR-1 behavior — and
-    /// every existing golden trajectory — bit-for-bit intact.
-    LpWarm lp_warm = LpWarm::kBaseline;
-    /// Bound on the basis pool (pool mode only).
-    std::size_t basis_pool_capacity = BasisPool::kDefaultCapacity;
-  };
-
-  ParallelEvaluator(const Instance& instance, Options options);
-  /// Convenience: `threads` workers, default cache geometry and engine.
-  ParallelEvaluator(const Instance& instance, std::size_t threads)
-      : ParallelEvaluator(instance, Options{.threads = threads}) {}
-
-  /// Fans the jobs across the pool; results[i] answers jobs[i]. Heuristic
-  /// batches first deduplicate through the per-batch score memo (planned on
-  /// the calling thread, so the evaluated set — and therefore the result
-  /// bits — is independent of the thread count); duplicates still charge
-  /// the Table II budget.
-  std::vector<Evaluation> evaluate_heuristic_batch(
-      std::span<const HeuristicJob> jobs) override;
-  std::vector<Evaluation> evaluate_selection_batch(
-      std::span<const SelectionJob> jobs) override;
-
-  /// Scalar entry points run on the calling thread (they still share the
-  /// relaxation cache and counters, and are safe to call concurrently).
-  Evaluation evaluate_with_heuristic(std::span<const double> pricing,
-                                     const gp::Tree& heuristic,
-                                     EvalPurpose purpose) override;
-  Evaluation evaluate_with_selection(std::span<const double> pricing,
-                                     std::span<const std::uint8_t> selection,
-                                     EvalPurpose purpose) override;
-
-  /// Toggling drops the cross-generation score cache (entries were computed
-  /// under the other setting). Configure between batches.
-  void set_polish(bool enabled) noexcept {
-    if (enabled != polish_) xgen_.clear();
-    polish_ = enabled;
-  }
-  [[nodiscard]] bool polish() const noexcept { return polish_; }
-
-  /// When enabled (the default), scoring trees are compiled into batched
-  /// SoA bytecode (one compile per distinct genome per batch) instead of
-  /// being re-interpreted per bundle — bit-identical results, see
-  /// gp::CompiledProgram. Configure before submitting work; not
-  /// synchronized against in-flight batches. Toggling drops the
-  /// cross-generation score cache (the backends key by different node
-  /// forms: canonical vs raw).
-  void set_compiled_scoring(bool enabled) noexcept {
-    if (enabled != compiled_scoring_) xgen_.clear();
-    compiled_scoring_ = enabled;
-  }
-  [[nodiscard]] bool compiled_scoring() const noexcept {
-    return compiled_scoring_;
-  }
-
-  [[nodiscard]] std::span<const ea::Bounds> price_bounds() const override {
-    return inst_.price_bounds();
-  }
-  [[nodiscard]] std::size_t genome_length() const override {
-    return inst_.num_bundles();
-  }
-  [[nodiscard]] const Instance& instance() const noexcept { return inst_; }
-  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
-  /// Warm-start policy this evaluator was built with (immutable: switching
-  /// would invalidate cached relaxations computed under the other policy).
-  [[nodiscard]] LpWarm lp_warm() const noexcept { return lp_warm_; }
-  /// The warm-start basis pool (empty and untouched under kBaseline).
-  [[nodiscard]] const BasisPool& basis_pool() const noexcept {
-    return basis_pool_;
-  }
-  /// Which fan-out engine batches run on.
-  [[nodiscard]] common::SchedKind sched() const noexcept { return sched_kind_; }
-  /// Scheduler-side counters (tasks/steals/idle); all-zero under the
-  /// ThreadPool engine. Timing-dependent — observability only.
-  [[nodiscard]] common::TaskScheduler::Stats sched_stats() const noexcept {
-    return scheduler_ ? scheduler_->stats() : common::TaskScheduler::Stats{};
-  }
-
-  [[nodiscard]] long long ul_evaluations() const override {
-    return ul_evals_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] long long ll_evaluations() const override {
-    return ll_evals_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] long long relaxations_solved() const noexcept {
-    return cache_.solves();
-  }
-  [[nodiscard]] long long relaxation_cache_hits() const noexcept {
-    return cache_.hits();
-  }
-  [[nodiscard]] const ShardedRelaxationCache& cache() const noexcept {
-    return cache_;
-  }
-  /// Batch heuristic jobs answered by the per-batch score memo instead of a
-  /// fresh greedy solve (still charged to the budget).
-  [[nodiscard]] long long heuristic_dedup_hits() const noexcept {
-    return dedup_hits_.load(std::memory_order_relaxed);
-  }
-
-  /// Cross-generation score memoization (docs/ALGORITHMS.md §14): finished
-  /// heuristic Evaluations are cached across batches and generations. Hits
-  /// still charge the Table II budgets, so trajectories are bit-identical
-  /// either way. Suspended automatically while the wall-clock watchdog is
-  /// armed. Configure between batches.
-  void set_memo_xgen(bool enabled) noexcept {
-    if (!enabled) xgen_.clear();
-    memo_xgen_ = enabled;
-  }
-  [[nodiscard]] bool memo_xgen() const noexcept { return memo_xgen_; }
-  [[nodiscard]] const ScoreCache& score_cache() const noexcept {
-    return xgen_;
-  }
-
-  /// Uniform telemetry snapshot (cache + memo counters).
-  [[nodiscard]] BackendStats backend_stats() const override;
-
-  /// Attaches a metrics registry; workers then time LP-relaxation solves
-  /// ("time/lp_relaxation") and LL greedy solves ("time/ll_solve") from
-  /// their own threads (the registry is thread-sharded). Configure between
-  /// batches, like the other toggles; trajectory-neutral.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept override {
-    metrics_ = metrics;
-  }
-
-  /// Installs deterministic per-evaluation budgets + the injection hook on
-  /// every context. Injection ordinals are assigned in submission order
-  /// (batch job i gets ordinal base+i, planned before fan-out), so the trip
-  /// lands on the same evaluation for any thread count. Configure between
-  /// batches. Changing the LIMITS drops both caches — entries warmed under
-  /// other limits would serve stale degradation rungs.
-  void set_guard(const guard::GuardConfig& config,
-                 long long eval_base) noexcept override;
-
-  /// Drops the relaxation cache and the cross-generation score cache
-  /// (counters kept). Called by solvers on checkpoint resume.
-  void clear_caches() noexcept override;
-
- private:
-  using RelaxationPtr = ShardedRelaxationCache::RelaxationPtr;
-
-  /// RAII lease of one evaluation context from the free list.
-  class ContextLease;
-  /// RAII block of per-participant context leases for a scheduler batch
-  /// (acquired lazily: a participant that never runs a job never leases).
-  class BatchLeases;
-
-  /// Engine dispatch: runs body(ctx, i) for every i in [0, n) on the
-  /// configured fan-out engine, handing each invocation a leased context.
-  /// Under the work-stealing engine one context is leased per PARTICIPANT
-  /// for the whole batch (≤ threads+1 free-list round trips per batch,
-  /// instead of one per job) and sched/{tasks,steals,idle_ns} deltas are
-  /// pushed to the metrics registry at the barrier.
-  void for_each(std::size_t n,
-                const std::function<void(EvalContext&, std::size_t)>& body);
-
-  /// True when the cross-generation cache may serve/absorb results right
-  /// now (armed watchdog makes evaluations wall-clock-dependent).
-  [[nodiscard]] bool xgen_active() const noexcept {
-    return memo_xgen_ && guard_.limits.watchdog_seconds <= 0.0;
-  }
-
-  /// Free-list primitives behind ContextLease/BatchLeases.
-  [[nodiscard]] EvalContext* acquire_context();
-  void release_context(EvalContext* ctx) noexcept;
-
-  /// Solve + finalize, WITHOUT charging (batch/scalar callers charge per
-  /// submitted job so memo hits still pay). Null `program` = interpreter.
-  /// `injected` forces the guard trip (fresh, cache-bypassing relaxation).
-  Evaluation evaluate_heuristic_job(EvalContext& ctx, const HeuristicJob& job,
-                                    const gp::CompiledProgram* program,
-                                    bool injected);
-  /// Charges, then solves + finalizes + counts guard outcomes.
-  Evaluation evaluate_one(EvalContext& ctx, const SelectionJob& job,
-                          bool injected);
-  /// Pool-mode variant of evaluate_one: the relaxation was already resolved
-  /// by the staged pass, only the construction stage runs here.
-  Evaluation evaluate_one_with(EvalContext& ctx, const SelectionJob& job,
-                               const cover::Relaxation& relax);
-  /// Pool-mode staged relaxation resolution: stage A probes the cache and
-  /// selects (copying) pooled start bases on the calling thread in
-  /// submission order; stage B fans the misses out through
-  /// solve_relaxation_pooled (a rejected pooled basis is re-solved from the
-  /// fixed baseline); stage C — again the calling thread, in submission
-  /// order — records metrics and pool counters, commits final bases to the
-  /// pool and inserts results into the cache. Returns one pinned relaxation
-  /// per input pricing (duplicates share a solve).
-  [[nodiscard]] std::vector<RelaxationPtr> resolve_pooled(
-      std::span<const std::span<const double>> pricings);
-  /// Construction stage under the guard plan (skip-or-solve + finalize).
-  Evaluation finish_heuristic(EvalContext& ctx, const cover::Relaxation& relax,
-                              const HeuristicJob& job,
-                              const gp::CompiledProgram* program);
-  void charge(EvalPurpose purpose) noexcept;
-  void count_guard(const Evaluation& evaluation) noexcept;
-  [[nodiscard]] bool inject_now(long long ordinal) const noexcept {
-    return inject_at_ >= 0 && ordinal == inject_at_;
-  }
-
-  template <typename Job>
-  std::vector<Evaluation> run_batch(std::span<const Job> jobs);
-
-  const Instance& inst_;
-  std::size_t threads_;
-  common::SchedKind sched_kind_;
-  LpWarm lp_warm_;
-  // Exactly one engine is constructed, per Options::sched.
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::unique_ptr<common::TaskScheduler> scheduler_;
-  ShardedRelaxationCache cache_;
-  ScoreCache xgen_;
-  bool memo_xgen_;
-  // threads + 1 contexts: every worker plus the caller thread (scalar calls
-  // and the tail of a batch the caller may help with never starve).
-  std::vector<std::unique_ptr<EvalContext>> contexts_;
-  std::vector<EvalContext*> free_contexts_;
-  std::mutex free_mutex_;
-  std::condition_variable free_cv_;
-  std::atomic<long long> ul_evals_{0};
-  std::atomic<long long> ll_evals_{0};
-  std::atomic<long long> dedup_hits_{0};
-  std::atomic<long long> guard_trips_{0};
-  std::atomic<long long> guard_degraded_{0};
-  std::atomic<long long> guard_exhausted_{0};
-  /// Warm-start bases the solver rejected (any mode; workers count their
-  /// own baseline-mode solves, hence atomic).
-  std::atomic<long long> warm_rejects_{0};
-  // Pool-mode state. The pool and these counters are only ever touched on
-  // the batch-submitting thread (stage A/C of resolve_pooled), in
-  // submission order — which is the determinism argument for plain fields.
-  BasisPool basis_pool_;
-  long long pool_hits_ = 0;
-  long long pool_rejects_ = 0;
-  long long pivots_saved_ = 0;
-  /// Running mean inputs for the pivots_saved estimate: iterations of
-  /// baseline-start, full-rung, feasible solves seen so far. Reset with the
-  /// pool (clear_caches / limit changes) so a resumed segment estimates
-  /// from its own history only.
-  long long base_iter_sum_ = 0;
-  long long base_iter_count_ = 0;
-  bool polish_ = false;
-  bool compiled_scoring_ = true;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  guard::GuardConfig guard_{};
-  long long inject_at_ = -1;  ///< Absolute ll ordinal to trip; -1 = never.
-};
+using ParallelEvaluator = Evaluator;
 
 }  // namespace carbon::bcpop

@@ -48,7 +48,7 @@ class ScoreCache {
   /// `capacity` bounds the total cached evaluations, split evenly across
   /// `num_shards` (each shard keeps at least one). One shard degenerates to
   /// a classic mutex-protected LRU with exact eviction order — what the
-  /// serial evaluator uses.
+  /// evaluator uses with one participant or in pool mode.
   explicit ScoreCache(std::size_t capacity, std::size_t num_shards = 16);
 
   ScoreCache(const ScoreCache&) = delete;

@@ -63,7 +63,7 @@ struct CobraConfig {
   /// evaluator); same semantics as CarbonConfig::eval_threads.
   std::size_t eval_threads = 1;
 
-  /// Fan-out engine for the parallel evaluator; same semantics as
+  /// Fan-out engine with two or more participants; same semantics as
   /// CarbonConfig::sched.
   common::SchedKind sched = common::SchedKind::kStealing;
 
@@ -72,8 +72,7 @@ struct CobraConfig {
   bool memo_xgen = true;
 
   /// Warm-start policy for the LL relaxation LPs; same semantics as
-  /// CarbonConfig::lp_warm (kPool routes evaluation through the parallel
-  /// evaluator even when eval_threads == 1).
+  /// CarbonConfig::lp_warm.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 
   /// Compile GP scoring trees to batched bytecode (relevant only when a

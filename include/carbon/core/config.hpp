@@ -74,18 +74,19 @@ struct CarbonConfig {
   long long ul_eval_budget = 50'000;
   long long ll_eval_budget = 50'000;
 
-  /// Worker threads for batch evaluation (when the solver owns its
-  /// evaluator). 1 = the legacy serial evaluator; >1 = a
-  /// bcpop::ParallelEvaluator with that many workers; 0 = hardware
-  /// concurrency. Results are bit-identical for any value at a fixed seed
-  /// (per-thread contexts + ordered reduction; see docs/ALGORITHMS.md §7).
+  /// Threads of the solver-owned bcpop::Evaluator. 1 = one participant:
+  /// batches run inline on the calling thread and no thread is started;
+  /// N >= 2 = N worker threads plus the calling thread; 0 =
+  /// hardware_concurrency() participants in total. Results are
+  /// bit-identical for any value at a fixed seed (per-participant contexts
+  /// + ordered reduction; see docs/ALGORITHMS.md §7).
   std::size_t eval_threads = 1;
 
-  /// Fan-out engine for the parallel evaluator (eval_threads > 1 or 0):
-  /// the deterministic work-stealing TaskScheduler (default) or the
-  /// barriered ThreadPool reference path. Bit-identical trajectories either
-  /// way (docs/ALGORITHMS.md §14); the knob exists for differential testing
-  /// and benchmarks. Ignored by the serial evaluator.
+  /// Fan-out engine with two or more participants: the deterministic
+  /// work-stealing TaskScheduler (default) or the barriered ThreadPool
+  /// reference path. Bit-identical trajectories either way
+  /// (docs/ALGORITHMS.md §14); the knob exists for differential testing
+  /// and benchmarks. Unused at eval_threads == 1.
   common::SchedKind sched = common::SchedKind::kStealing;
 
   /// Cross-generation score memoization: finished heuristic Evaluations are
@@ -100,8 +101,6 @@ struct CarbonConfig {
   /// from the nearest pooled basis (deterministic for any eval_threads ×
   /// sched × compiled_scoring, but a DIFFERENT golden axis: degenerate LPs
   /// can surface alternate optimal duals/x̄ under a different start basis).
-  /// kPool routes evaluation through the parallel evaluator even when
-  /// eval_threads == 1.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 
   /// Compile GP scoring trees to batched SoA bytecode (gp::CompiledProgram)

@@ -1,33 +1,431 @@
 #include "carbon/bcpop/evaluator.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "carbon/common/stopwatch.hpp"
 #include "carbon/gp/simd.hpp"
 
 namespace carbon::bcpop {
 
-Evaluator::Evaluator(const Instance& instance,
-                     std::size_t relaxation_cache_capacity,
-                     std::size_t score_cache_capacity)
+namespace {
+
+/// Worker threads behind Options::threads. The caller is a participant
+/// too, so 0 (hardware concurrency) leaves one hardware thread to it.
+std::size_t workers_for(std::size_t threads) {
+  if (threads == 0) {
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency()) - 1;
+  }
+  return threads == 1 ? 0 : threads;
+}
+
+/// Shards per cache. One participant or pool mode gets ONE shard: a single
+/// global LRU whose eviction order is the call order. With one participant
+/// that is the whole story; in pool mode every staged lookup/insert happens
+/// on the calling thread anyway, and the single LRU makes the pooled-solve
+/// history identical for any participant count.
+std::size_t shards_for(const Evaluator::Options& options, std::size_t wanted) {
+  if (workers_for(options.threads) == 0 || options.lp_warm == LpWarm::kPool) {
+    return 1;
+  }
+  return std::max<std::size_t>(wanted, 1);
+}
+
+/// Construction stage under the guard plan: skip when the node budget is
+/// already gone, else run `solve(greedy_options)` and finalize.
+template <typename Solve>
+Evaluation construct(const Instance& inst, obs::MetricsRegistry* metrics,
+                     const EvalContext& ctx, const cover::Relaxation& relax,
+                     std::span<const double> pricing, EvalPurpose purpose,
+                     Solve&& solve) {
+  const ConstructionBudget plan = plan_construction(ctx.guard, relax);
+  if (plan.skip) {
+    return skipped_evaluation(inst, pricing, relax, guard::Trip::kNodeBudget,
+                              purpose);
+  }
+  obs::ScopedTimer timer(metrics, "time/ll_solve");
+  const cover::SolveResult solved = solve(plan.options);
+  timer.stop();
+  return finalize_evaluation(inst, pricing, solved, relax, purpose);
+}
+
+}  // namespace
+
+EvalContext* Evaluator::acquire_context() {
+  std::unique_lock lock(free_mutex_);
+  free_cv_.wait(lock, [&] { return !free_contexts_.empty(); });
+  EvalContext* ctx = free_contexts_.back();
+  free_contexts_.pop_back();
+  return ctx;
+}
+
+void Evaluator::release_context(EvalContext* ctx) noexcept {
+  {
+    std::lock_guard lock(free_mutex_);
+    free_contexts_.push_back(ctx);
+  }
+  free_cv_.notify_one();
+}
+
+/// Pops a context off the free list (waiting if every context is in use —
+/// only possible under caller-side oversubscription) and returns it on
+/// destruction, exception-safe.
+class Evaluator::ContextLease {
+ public:
+  explicit ContextLease(Evaluator& owner)
+      : owner_(owner), ctx_(owner.acquire_context()) {}
+  ~ContextLease() { owner_.release_context(ctx_); }
+  ContextLease(const ContextLease&) = delete;
+  ContextLease& operator=(const ContextLease&) = delete;
+
+  [[nodiscard]] EvalContext& get() noexcept { return *ctx_; }
+
+ private:
+  Evaluator& owner_;
+  EvalContext* ctx_ = nullptr;
+};
+
+/// Per-participant context leases for one scheduler batch. Slot p is only
+/// ever touched by participant p (the scheduler guarantees a participant id
+/// is never observed by two jobs concurrently), so acquisition is lazy and
+/// lock-free on the slot itself; all acquired contexts return to the free
+/// list at the batch barrier.
+class Evaluator::BatchLeases {
+ public:
+  BatchLeases(Evaluator& owner, std::size_t participants)
+      : owner_(owner), slots_(participants, nullptr) {}
+  ~BatchLeases() {
+    for (EvalContext* ctx : slots_) {
+      if (ctx != nullptr) owner_.release_context(ctx);
+    }
+  }
+  BatchLeases(const BatchLeases&) = delete;
+  BatchLeases& operator=(const BatchLeases&) = delete;
+
+  [[nodiscard]] EvalContext& get(std::size_t participant) {
+    EvalContext*& slot = slots_[participant];
+    if (slot == nullptr) slot = owner_.acquire_context();
+    return *slot;
+  }
+
+ private:
+  Evaluator& owner_;
+  std::vector<EvalContext*> slots_;
+};
+
+Evaluator::Evaluator(const Instance& instance, Options options)
     : inst_(instance),
-      ctx_(instance),
-      cache_(std::max<std::size_t>(relaxation_cache_capacity, 1),
-             /*num_shards=*/1),
-      // One shard keeps the serial evaluator's LRU eviction order exact.
-      xgen_(std::max<std::size_t>(score_cache_capacity, 1),
-            /*num_shards=*/1) {}
+      lp_warm_(options.lp_warm),
+      cache_(std::max<std::size_t>(options.relaxation_cache_capacity, 1),
+             shards_for(options, options.cache_shards)),
+      xgen_(std::max<std::size_t>(options.score_cache_capacity, 1),
+            shards_for(options, options.score_cache_shards)),
+      memo_xgen_(options.memo_xgen),
+      basis_pool_(std::max<std::size_t>(options.basis_pool_capacity, 1)) {
+  const std::size_t workers = workers_for(options.threads);
+  if (workers == 0) {
+    contexts_.push_back(std::make_unique<EvalContext>(inst_));
+  } else {
+    if (options.sched == common::SchedKind::kStealing) {
+      scheduler_ = std::make_unique<common::TaskScheduler>(workers);
+    } else {
+      pool_ = std::make_unique<common::ThreadPool>(workers);
+    }
+    // Build + validate the relaxation structure and solve the base-cost LP
+    // once, then stamp every per-participant context from the shared family.
+    const cover::RelaxationFamily shared(inst_.market());
+    for (std::size_t i = 0; i <= workers; ++i) {
+      contexts_.push_back(std::make_unique<EvalContext>(inst_, shared));
+    }
+  }
+  for (const auto& ctx : contexts_) free_contexts_.push_back(ctx.get());
+}
+
+void Evaluator::for_each(
+    std::size_t n, const std::function<void(EvalContext&, std::size_t)>& body) {
+  if (scheduler_ != nullptr) {
+    const common::TaskScheduler::Stats before = scheduler_->stats();
+    {
+      BatchLeases leases(*this, scheduler_->participants());
+      scheduler_->parallel_for(
+          n, [&](std::size_t participant, std::size_t i) {
+            body(leases.get(participant), i);
+          });
+    }
+    if (metrics_ != nullptr) {
+      const common::TaskScheduler::Stats after = scheduler_->stats();
+      obs::count(metrics_, "sched/tasks", after.tasks - before.tasks);
+      if (after.steals > before.steals) {
+        obs::count(metrics_, "sched/steals", after.steals - before.steals);
+      }
+      if (after.idle_ns > before.idle_ns) {
+        obs::count(metrics_, "sched/idle_ns", after.idle_ns - before.idle_ns);
+      }
+    }
+  } else if (pool_ != nullptr) {
+    pool_->parallel_for(n, [&](std::size_t i) {
+      ContextLease lease(*this);
+      body(lease.get(), i);
+    });
+  } else if (n > 0) {
+    ContextLease lease(*this);
+    for (std::size_t i = 0; i < n; ++i) body(lease.get(), i);
+  }
+}
+
+void Evaluator::charge(EvalPurpose purpose) noexcept {
+  ll_evals_.fetch_add(1, std::memory_order_relaxed);
+  if (purpose == EvalPurpose::kBoth) {
+    ul_evals_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void Evaluator::count_guard(const Evaluation& evaluation) noexcept {
+  const guard::Outcome& g = evaluation.guard;
+  if (g.tripped()) {
+    guard_trips_.fetch_add(1, std::memory_order_relaxed);
+    obs::count(metrics_, "guard/trips");
+  }
+  if (g.degraded()) {
+    guard_degraded_.fetch_add(1, std::memory_order_relaxed);
+    obs::count(metrics_, "guard/degraded_evals");
+  }
+  if (g.budget_exhausted) {
+    guard_exhausted_.fetch_add(1, std::memory_order_relaxed);
+    obs::count(metrics_, "guard/budget_exhausted");
+  }
+}
+
+void Evaluator::set_guard(const guard::GuardConfig& config,
+                          long long eval_base) noexcept {
+  if (!(config.limits == guard_.limits)) {
+    // Cached relaxations and evaluations are pure functions of
+    // (inputs, limits); entries warmed under other limits would serve
+    // stale degradation rungs. The basis pool and the pivots-saved
+    // baseline mean are dropped with them: pooled pivot counts (and what
+    // gets committed at all) depend on the rung-0 caps.
+    clear_caches();
+  }
+  guard_ = config;
+  inject_at_ =
+      config.inject.at_eval >= 0 ? eval_base + config.inject.at_eval : -1;
+  for (const auto& ctx : contexts_) ctx->guard = config.limits;
+}
+
+void Evaluator::clear_caches() noexcept {
+  cache_.clear();
+  xgen_.clear();
+  // Resume isolation: a resumed segment must never consume another
+  // segment's pooled bases (or its pivots-saved baseline estimate), so the
+  // pool is cleared — clocks included — alongside the caches. Counters are
+  // kept; solvers subtract their checkpointed offsets.
+  basis_pool_.clear();
+  base_iter_sum_ = 0;
+  base_iter_count_ = 0;
+}
+
+Evaluator::RelaxationPtr Evaluator::cached_relaxation(
+    EvalContext& ctx, std::span<const double> pricing) {
+  return cache_.get_or_compute(pricing, [&](std::span<const double> p) {
+    obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
+    cover::Relaxation r = solve_relaxation_guarded(ctx, p);
+    timer.stop();
+    record_lp_metrics(metrics_, r);
+    if (r.stats.warm_start_rejected) {
+      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return r;
+  });
+}
+
+Evaluator::RelaxationPtr Evaluator::relaxation_for(
+    EvalContext& ctx, std::span<const double> pricing, bool injected,
+    bool* late) {
+  if (injected) {
+    // Forced trip: the degradation is ordinal-dependent, so it must never
+    // land in — or come from — the pricing-keyed cache (nor touch the basis
+    // pool in pool mode).
+    cover::Relaxation relax = solve_relaxation_guarded(
+        ctx, pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
+    if (relax.stats.warm_start_rejected) {
+      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
+    }
+    *late = false;
+    return std::make_shared<const cover::Relaxation>(std::move(relax));
+  }
+  const common::Stopwatch watchdog;
+  RelaxationPtr relax = cached_relaxation(ctx, pricing);
+  // Only this evaluation's construction stage is skipped when the watchdog
+  // fires; the cached relaxation stays full-fidelity. Opt-in, explicitly
+  // non-deterministic (which is why xgen_active() is false while armed).
+  *late = guard_.limits.watchdog_seconds > 0.0 &&
+          watchdog.seconds() > guard_.limits.watchdog_seconds;
+  return relax;
+}
 
 Evaluator::RelaxationPtr Evaluator::relaxation(
     std::span<const double> pricing) {
-  return cache_.get_or_compute(pricing, [this](std::span<const double> p) {
+  if (lp_warm_ == LpWarm::kPool) {
+    const std::span<const double> one[] = {pricing};
+    return resolve_pooled(one)[0];
+  }
+  ContextLease lease(*this);
+  return cached_relaxation(lease.get(), pricing);
+}
+
+Evaluation Evaluator::finish_heuristic(EvalContext& ctx,
+                                       const cover::Relaxation& relax,
+                                       const HeuristicJob& job,
+                                       const gp::CompiledProgram* program) {
+  return construct(
+      inst_, metrics_, ctx, relax, job.pricing, job.purpose,
+      [&](const cover::GreedyOptions& greedy) {
+        return program != nullptr
+                   ? solve_with_program(ctx, relax, job.pricing, *program,
+                                        polish_, metrics_, greedy)
+                   : solve_with_heuristic(ctx, relax, job.pricing,
+                                          *job.heuristic, polish_, greedy);
+      });
+}
+
+Evaluation Evaluator::finish_selection(EvalContext& ctx,
+                                       const cover::Relaxation& relax,
+                                       const SelectionJob& job) {
+  return construct(inst_, metrics_, ctx, relax, job.pricing, job.purpose,
+                   [&](const cover::GreedyOptions& greedy) {
+                     return solve_with_selection(ctx, relax, job.pricing,
+                                                 job.selection, greedy);
+                   });
+}
+
+Evaluation Evaluator::heuristic_job(EvalContext& ctx, const HeuristicJob& job,
+                                    const gp::CompiledProgram* program,
+                                    bool injected) {
+  bool late = false;
+  const RelaxationPtr relax =
+      relaxation_for(ctx, job.pricing, injected, &late);
+  if (late) {
+    return skipped_evaluation(inst_, job.pricing, *relax,
+                              guard::Trip::kWatchdog, job.purpose);
+  }
+  return finish_heuristic(ctx, *relax, job, program);
+}
+
+Evaluation Evaluator::selection_job(EvalContext& ctx, const SelectionJob& job,
+                                    bool injected) {
+  bool late = false;
+  const RelaxationPtr relax =
+      relaxation_for(ctx, job.pricing, injected, &late);
+  if (late) {
+    return skipped_evaluation(inst_, job.pricing, *relax,
+                              guard::Trip::kWatchdog, job.purpose);
+  }
+  return finish_selection(ctx, *relax, job);
+}
+
+std::vector<Evaluator::RelaxationPtr> Evaluator::resolve_pooled(
+    std::span<const std::span<const double>> pricings) {
+  std::vector<RelaxationPtr> out(pricings.size());
+  struct Pending {
+    std::size_t out_index = 0;
+    std::span<const double> pricing;
+    lp::Basis warm;          ///< copied pooled start basis (from_pool only)
+    bool from_pool = false;
+    bool rejected = false;   ///< pooled basis rejected, re-solved baseline
+    cover::Relaxation relax;
+    lp::Basis final_basis;   ///< valid iff relax.stats.basis_saved
+    RelaxationPtr result;
+  };
+  std::vector<Pending> pending;
+  /// (out index, pending index) of duplicates of an in-batch miss.
+  std::vector<std::pair<std::size_t, std::size_t>> aliases;
+  std::unordered_map<std::vector<double>, std::size_t, PricingHash> index_of;
+
+  // Stage A — calling thread, submission order: cache probes and pool
+  // selections. The selected basis is COPIED out: the select() pointer dies
+  // at the next insert(), and workers must not touch the pool at all.
+  for (std::size_t i = 0; i < pricings.size(); ++i) {
+    std::vector<double> key(pricings[i].begin(), pricings[i].end());
+    if (const auto it = index_of.find(key); it != index_of.end()) {
+      aliases.emplace_back(i, it->second);
+      continue;
+    }
+    if (RelaxationPtr hit = cache_.lookup(pricings[i])) {
+      out[i] = std::move(hit);
+      continue;
+    }
+    Pending p;
+    p.out_index = i;
+    p.pricing = pricings[i];
+    if (const lp::Basis* nearest = basis_pool_.select(pricings[i])) {
+      p.warm = *nearest;
+      p.from_pool = true;
+    }
+    index_of.emplace(std::move(key), pending.size());
+    pending.push_back(std::move(p));
+  }
+
+  // Stage B — fan-out: each miss solves from its pre-selected start basis.
+  // A rejected pooled basis re-solves from the fixed baseline, so the
+  // resulting relaxation is bit-identical to what a pool miss produces.
+  for_each(pending.size(), [&](EvalContext& ctx, std::size_t k) {
+    Pending& p = pending[k];
     obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
-    cover::Relaxation relax = solve_relaxation_guarded(ctx_, p);
-    timer.stop();
-    record_lp_metrics(metrics_, relax);
-    if (relax.stats.warm_start_rejected) ++warm_rejects_;
-    return relax;
+    const lp::Basis& start = p.from_pool ? p.warm : ctx.baseline_basis;
+    p.relax = solve_relaxation_pooled(ctx, p.pricing, start, &p.final_basis);
+    if (p.from_pool && p.relax.stats.warm_start_rejected) {
+      p.rejected = true;
+      p.final_basis = lp::Basis{};
+      p.relax = solve_relaxation_pooled(ctx, p.pricing, ctx.baseline_basis,
+                                        &p.final_basis);
+    }
   });
+
+  // Stage C — calling thread, pending order: metrics, counters, pool
+  // commits, cache inserts. Deterministic because the pending order is the
+  // submission order and nothing here depends on solve timing.
+  for (Pending& p : pending) {
+    record_lp_metrics(metrics_, p.relax);
+    if (p.rejected) {
+      ++pool_rejects_;
+      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (p.relax.stats.warm_start_rejected) {
+      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
+    }
+    const bool full_rung = p.relax.guard_trip == guard::Trip::kNone &&
+                           p.relax.guard_rung == guard::Rung::kFullLp;
+    if (p.from_pool && !p.rejected) {
+      ++pool_hits_;
+      if (full_rung && p.relax.feasible && base_iter_count_ > 0) {
+        const long long mean = std::llround(
+            static_cast<double>(base_iter_sum_) / base_iter_count_);
+        pivots_saved_ +=
+            std::max(0LL, mean - static_cast<long long>(
+                                     p.relax.stats.iterations));
+      }
+    } else if (full_rung && p.relax.feasible) {
+      base_iter_sum_ += p.relax.stats.iterations;
+      ++base_iter_count_;
+    }
+    if (p.relax.stats.basis_saved) {
+      basis_pool_.insert(p.pricing, p.final_basis);
+    }
+    p.result = std::make_shared<const cover::Relaxation>(std::move(p.relax));
+    cache_.insert(p.pricing, p.result);
+    out[p.out_index] = p.result;
+  }
+  // In-batch duplicates read back through the cache so the hit counters
+  // match the one-at-a-time call sequence; the direct pointer covers the
+  // (tiny cache) case where a later insert already evicted the entry.
+  for (const auto& [i, k] : aliases) {
+    RelaxationPtr hit = cache_.lookup(pricings[i]);
+    out[i] = hit != nullptr ? std::move(hit) : pending[k].result;
+  }
+  return out;
 }
 
 BackendStats Evaluator::backend_stats() const {
@@ -35,165 +433,21 @@ BackendStats Evaluator::backend_stats() const {
   s.relaxation_cache_hits = cache_.hits();
   s.relaxation_cache_misses = cache_.solves();
   s.relaxation_cache_evictions = cache_.evictions();
-  s.heuristic_dedup_hits = dedup_hits_;
+  s.heuristic_dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
   s.score_cache_hits = xgen_.hits();
   s.score_cache_evictions = xgen_.evictions();
-  s.guard_trips = guard_trips_;
-  s.guard_degraded_evals = guard_degraded_;
-  s.guard_budget_exhausted = guard_exhausted_;
-  s.lp_family_rebinds = ctx_.ll_family.rebinds();
-  s.lp_warm_start_rejects = warm_rejects_;
+  s.guard_trips = guard_trips_.load(std::memory_order_relaxed);
+  s.guard_degraded_evals = guard_degraded_.load(std::memory_order_relaxed);
+  s.guard_budget_exhausted =
+      guard_exhausted_.load(std::memory_order_relaxed);
+  for (const auto& ctx : contexts_) {
+    s.lp_family_rebinds += ctx->ll_family.rebinds();
+  }
+  s.lp_warm_start_rejects = warm_rejects_.load(std::memory_order_relaxed);
+  s.lp_pool_hits = pool_hits_;
+  s.lp_pool_rejects = pool_rejects_;
+  s.lp_pivots_saved = pivots_saved_;
   return s;
-}
-
-void Evaluator::set_guard(const guard::GuardConfig& config,
-                          long long eval_base) noexcept {
-  if (!(config.limits == ctx_.guard)) {
-    // Cached relaxations and evaluations are pure functions of
-    // (inputs, limits); entries warmed under other limits would serve
-    // stale degradation rungs.
-    cache_.clear();
-    xgen_.clear();
-  }
-  guard_ = config;
-  ctx_.guard = config.limits;
-  inject_at_ =
-      config.inject.at_eval >= 0 ? eval_base + config.inject.at_eval : -1;
-}
-
-void Evaluator::clear_caches() noexcept {
-  cache_.clear();
-  xgen_.clear();
-}
-
-void Evaluator::charge(EvalPurpose purpose) noexcept {
-  ++ll_evals_;
-  if (purpose == EvalPurpose::kBoth) ++ul_evals_;
-}
-
-void Evaluator::count_guard(const Evaluation& evaluation) noexcept {
-  const guard::Outcome& g = evaluation.guard;
-  if (g.tripped()) {
-    ++guard_trips_;
-    obs::count(metrics_, "guard/trips");
-  }
-  if (g.degraded()) {
-    ++guard_degraded_;
-    obs::count(metrics_, "guard/degraded_evals");
-  }
-  if (g.budget_exhausted) {
-    ++guard_exhausted_;
-    obs::count(metrics_, "guard/budget_exhausted");
-  }
-}
-
-Evaluation Evaluator::finish_heuristic(const cover::Relaxation& relax,
-                                       std::span<const double> pricing,
-                                       const gp::Tree& heuristic,
-                                       const gp::CompiledProgram* program,
-                                       EvalPurpose purpose) {
-  const ConstructionBudget plan = plan_construction(ctx_.guard, relax);
-  if (plan.skip) {
-    return skipped_evaluation(inst_, pricing, relax, guard::Trip::kNodeBudget,
-                              purpose);
-  }
-  obs::ScopedTimer timer(metrics_, "time/ll_solve");
-  cover::SolveResult solved;
-  if (program != nullptr) {
-    solved = solve_with_program(ctx_, relax, pricing, *program, polish_,
-                                metrics_, plan.options);
-  } else if (compiled_scoring_) {
-    const gp::CompiledProgram compiled =
-        gp::CompiledProgram::compile(heuristic);
-    solved = solve_with_program(ctx_, relax, pricing, compiled, polish_,
-                                metrics_, plan.options);
-  } else {
-    solved = solve_with_heuristic(ctx_, relax, pricing, heuristic, polish_,
-                                  plan.options);
-  }
-  timer.stop();
-  return finalize_evaluation(inst_, pricing, solved, relax, purpose);
-}
-
-Evaluation Evaluator::finish_selection(const cover::Relaxation& relax,
-                                       std::span<const double> pricing,
-                                       std::span<const std::uint8_t> selection,
-                                       EvalPurpose purpose) {
-  const ConstructionBudget plan = plan_construction(ctx_.guard, relax);
-  if (plan.skip) {
-    return skipped_evaluation(inst_, pricing, relax, guard::Trip::kNodeBudget,
-                              purpose);
-  }
-  obs::ScopedTimer timer(metrics_, "time/ll_solve");
-  const cover::SolveResult solved =
-      solve_with_selection(ctx_, relax, pricing, selection, plan.options);
-  timer.stop();
-  return finalize_evaluation(inst_, pricing, solved, relax, purpose);
-}
-
-Evaluation Evaluator::evaluate_with_heuristic(std::span<const double> pricing,
-                                              const gp::Tree& heuristic,
-                                              EvalPurpose purpose) {
-  const long long ordinal = ll_evals_;
-  if (inject_now(ordinal)) {
-    // Forced trip: a fresh, cache-bypassing relaxation (the degradation is
-    // ordinal-dependent, so it must never land in — or come from — the
-    // pricing-keyed cache, nor in the cross-generation score cache).
-    charge(purpose);
-    const cover::Relaxation relax = solve_relaxation_guarded(
-        ctx_, pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
-    if (relax.stats.warm_start_rejected) ++warm_rejects_;
-    Evaluation result =
-        finish_heuristic(relax, pricing, heuristic, nullptr, purpose);
-    count_guard(result);
-    return result;
-  }
-
-  // Cross-generation memo: key by the canonical program (compiled scoring)
-  // or the raw tree (interpreter). A hit still charges the full budget —
-  // the cache saves wall-clock, never evaluations.
-  const gp::CompiledProgram* program = nullptr;
-  gp::CompiledProgram compiled;
-  if (compiled_scoring_) {
-    compiled = gp::CompiledProgram::compile(heuristic);
-    program = &compiled;
-  }
-  const bool use_xgen = xgen_active();
-  const std::span<const gp::Node> key_nodes =
-      program != nullptr ? program->canonical_nodes() : heuristic.nodes();
-  if (use_xgen) {
-    Evaluation cached;
-    if (xgen_.lookup(key_nodes, pricing, purpose, &cached)) {
-      obs::count(metrics_, "memo/xgen_hits");
-      charge(purpose);
-      count_guard(cached);
-      return cached;
-    }
-  }
-
-  common::Stopwatch watchdog;
-  const RelaxationPtr relax = relaxation(pricing);
-  charge(purpose);
-  if (guard_.limits.watchdog_seconds > 0.0 &&
-      watchdog.seconds() > guard_.limits.watchdog_seconds) {
-    // The (cacheable) relaxation is kept full-fidelity; only this
-    // evaluation's construction stage is skipped. Opt-in and explicitly
-    // non-deterministic (which is why xgen_active() is false here).
-    Evaluation result = skipped_evaluation(inst_, pricing, *relax,
-                                           guard::Trip::kWatchdog, purpose);
-    count_guard(result);
-    return result;
-  }
-  Evaluation result =
-      finish_heuristic(*relax, pricing, heuristic, program, purpose);
-  count_guard(result);
-  if (use_xgen) {
-    const long long evictions_before = xgen_.evictions();
-    xgen_.insert(key_nodes, pricing, purpose, result);
-    const long long evicted = xgen_.evictions() - evictions_before;
-    if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
-  }
-  return result;
 }
 
 std::vector<Evaluation> Evaluator::evaluate_heuristic_batch(
@@ -204,74 +458,222 @@ std::vector<Evaluation> Evaluator::evaluate_heuristic_batch(
   // 4 = AVX2) — constant per process, but recorded per batch so journals
   // from different machines stay attributable.
   obs::gauge(metrics_, "gp/lanes", static_cast<double>(gp::simd::lanes()));
+  // Plan the score memo on the calling thread BEFORE fan-out: the plan is a
+  // pure function of the submitted jobs, so deduplication needs no locks
+  // and the set of real solves is identical for any participant count.
   const HeuristicBatchPlan plan =
       plan_heuristic_batch(jobs, compiled_scoring_);
-  // Jobs are charged in submission order below, so job i's ll ordinal is
-  // base + i — the same ordinal the serial scalar path would assign. The
-  // injection target is therefore identical for any batching.
-  const long long base = ll_evals_;
-  const bool use_xgen = xgen_active();
+  // Job i is charged with ordinal base + i — the ordinal a one-at-a-time
+  // call sequence would assign — so the injection target is identical for
+  // any batching and any participant count.
+  const long long base = ll_evals_.load(std::memory_order_relaxed);
   std::vector<Evaluation> unique_results(plan.uniques.size());
-  long long xgen_hits = 0;
-  for (std::size_t u = 0; u < plan.uniques.size(); ++u) {
+
+  // Cross-generation memo: probes and inserts happen on the calling thread
+  // in unique order, so hit/miss counters and the LRU walk — and the cache
+  // state after the batch — are a pure function of the submitted jobs.
+  const bool use_xgen = xgen_active();
+  const auto job_of = [&](std::size_t u) -> const HeuristicJob& {
+    return jobs[plan.uniques[u].job_index];
+  };
+  const auto key_nodes_of = [&](std::size_t u) -> std::span<const gp::Node> {
     const HeuristicBatchPlan::Unique& uq = plan.uniques[u];
-    const HeuristicJob& job = jobs[uq.job_index];
-    // Cross-generation memo: the per-batch plan already collapsed
-    // duplicates within this batch; the xgen cache collapses repeats
-    // ACROSS batches and generations. Probes, inserts and the LRU walk all
-    // happen here in unique order, so the cache state after the batch is a
-    // pure function of the submitted jobs.
-    const std::span<const gp::Node> key_nodes =
-        uq.program != nullptr ? uq.program->canonical_nodes()
-                              : job.heuristic->nodes();
-    if (use_xgen &&
-        xgen_.lookup(key_nodes, job.pricing, job.purpose,
-                     &unique_results[u])) {
-      ++xgen_hits;
-      continue;
-    }
-    common::Stopwatch watchdog;
-    const RelaxationPtr relax = relaxation(job.pricing);
-    if (guard_.limits.watchdog_seconds > 0.0 &&
-        watchdog.seconds() > guard_.limits.watchdog_seconds) {
-      unique_results[u] = skipped_evaluation(
-          inst_, job.pricing, *relax, guard::Trip::kWatchdog, job.purpose);
-      continue;
-    }
-    unique_results[u] = finish_heuristic(*relax, job.pricing, *job.heuristic,
-                                         uq.program.get(), job.purpose);
+    return uq.program != nullptr ? uq.program->canonical_nodes()
+                                 : job_of(u).heuristic->nodes();
+  };
+  long long xgen_hits = 0;
+  const auto probe = [&](std::size_t u) {
+    const bool hit =
+        use_xgen && xgen_.lookup(key_nodes_of(u), job_of(u).pricing,
+                                 job_of(u).purpose, &unique_results[u]);
+    if (hit) ++xgen_hits;
+    return hit;
+  };
+  const long long evictions_before = xgen_.evictions();
+  const auto insert = [&](std::size_t u) {
     if (use_xgen) {
-      const long long evictions_before = xgen_.evictions();
-      xgen_.insert(key_nodes, job.pricing, job.purpose, unique_results[u]);
-      const long long evicted = xgen_.evictions() - evictions_before;
-      if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
+      xgen_.insert(key_nodes_of(u), job_of(u).pricing, job_of(u).purpose,
+                   unique_results[u]);
     }
+  };
+  const auto solve = [&](EvalContext& ctx, std::size_t u) {
+    unique_results[u] = heuristic_job(ctx, job_of(u),
+                                      plan.uniques[u].program.get(),
+                                      /*injected=*/false);
+  };
+
+  if (participants() == 1 && lp_warm_ == LpWarm::kBaseline) {
+    // One participant: probe, solve and insert one unique at a time.
+    ContextLease lease(*this);
+    for (std::size_t u = 0; u < plan.uniques.size(); ++u) {
+      if (probe(u)) continue;
+      solve(lease.get(), u);
+      insert(u);
+    }
+  } else {
+    // Probe every unique, fan out only the misses, then insert the fresh
+    // results in unique order after the barrier.
+    std::vector<std::size_t> misses;
+    misses.reserve(plan.uniques.size());
+    for (std::size_t u = 0; u < plan.uniques.size(); ++u) {
+      if (!probe(u)) misses.push_back(u);
+    }
+    if (lp_warm_ == LpWarm::kPool) {
+      // Staged pool path: the misses' relaxations are resolved through the
+      // basis pool first, then only the construction stage fans out. The
+      // wall-clock watchdog skip does not apply to pooled batch solves.
+      std::vector<std::span<const double>> pricings;
+      pricings.reserve(misses.size());
+      for (const std::size_t u : misses) pricings.push_back(job_of(u).pricing);
+      const std::vector<RelaxationPtr> relaxes = resolve_pooled(pricings);
+      for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
+        const std::size_t u = misses[m];
+        unique_results[u] = finish_heuristic(ctx, *relaxes[m], job_of(u),
+                                             plan.uniques[u].program.get());
+      });
+    } else {
+      for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
+        solve(ctx, misses[m]);
+      });
+    }
+    for (const std::size_t u : misses) insert(u);
   }
   if (xgen_hits > 0) obs::count(metrics_, "memo/xgen_hits", xgen_hits);
+  const long long evicted = xgen_.evictions() - evictions_before;
+  if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
+
   // Every submitted job pays the budget — the memo optimizes wall-clock,
-  // never the Table II accounting (purpose is part of the memo key, so a
-  // duplicate always shares its representative's purpose).
+  // never the Table II accounting, so trajectories stay bit-identical.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (inject_now(base + static_cast<long long>(i))) {
-      // The injected job gets its own forced-trip evaluation; its memo
-      // siblings keep the full-fidelity result, exactly as the scalar call
-      // sequence would produce.
-      const cover::Relaxation relax =
-          solve_relaxation_guarded(ctx_, jobs[i].pricing,
-                                   guard::Trip::kInjected,
-                                   guard_.inject.degrade_to);
-      if (relax.stats.warm_start_rejected) ++warm_rejects_;
-      results[i] = finish_heuristic(
-          relax, jobs[i].pricing, *jobs[i].heuristic,
-          plan.uniques[plan.result_of[i]].program.get(), jobs[i].purpose);
+      // The injected job gets its own forced-trip evaluation on the calling
+      // thread; its memo siblings keep the full-fidelity result, exactly as
+      // the one-at-a-time call sequence would produce.
+      ContextLease lease(*this);
+      results[i] = heuristic_job(
+          lease.get(), jobs[i], plan.uniques[plan.result_of[i]].program.get(),
+          /*injected=*/true);
     } else {
       results[i] = unique_results[plan.result_of[i]];
     }
     charge(jobs[i].purpose);
     count_guard(results[i]);
   }
-  dedup_hits_ += static_cast<long long>(plan.duplicates());
+  dedup_hits_.fetch_add(static_cast<long long>(plan.duplicates()),
+                        std::memory_order_relaxed);
   return results;
+}
+
+std::vector<Evaluation> Evaluator::evaluate_selection_batch(
+    std::span<const SelectionJob> jobs) {
+  std::vector<Evaluation> results(jobs.size());
+  if (jobs.empty()) return results;
+  // Injection ordinals are assigned by submission index BEFORE fan-out, so
+  // the tripped job is the same for any participant count even though the
+  // atomic charges land in arbitrary order.
+  const long long base = ll_evals_.load(std::memory_order_relaxed);
+  const auto injected = [&](std::size_t i) {
+    return inject_now(base + static_cast<long long>(i));
+  };
+  // Pool mode: relaxations first (pool/cache traffic on this thread, in
+  // submission order), then only the construction stage fans out. Injected
+  // jobs bypass the pool like they bypass the cache.
+  std::vector<RelaxationPtr> pooled;
+  if (lp_warm_ == LpWarm::kPool) {
+    std::vector<std::size_t> index;
+    std::vector<std::span<const double>> pricings;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!injected(i)) {
+        index.push_back(i);
+        pricings.push_back(jobs[i].pricing);
+      }
+    }
+    const std::vector<RelaxationPtr> relaxes = resolve_pooled(pricings);
+    pooled.resize(jobs.size());
+    for (std::size_t k = 0; k < index.size(); ++k) {
+      pooled[index[k]] = relaxes[k];
+    }
+  }
+  // Tasks write disjoint slots of `results`; every engine drains all tasks
+  // before returning (even on exceptions), so the captures cannot dangle.
+  for_each(jobs.size(), [&](EvalContext& ctx, std::size_t i) {
+    charge(jobs[i].purpose);
+    results[i] = !pooled.empty() && pooled[i] != nullptr
+                     ? finish_selection(ctx, *pooled[i], jobs[i])
+                     : selection_job(ctx, jobs[i], injected(i));
+    count_guard(results[i]);
+  });
+  return results;
+}
+
+Evaluation Evaluator::evaluate_with_heuristic(std::span<const double> pricing,
+                                              const gp::Tree& heuristic,
+                                              EvalPurpose purpose) {
+  const HeuristicJob job{pricing, &heuristic, purpose};
+  const bool injected =
+      inject_now(ll_evals_.load(std::memory_order_relaxed));
+  charge(purpose);
+
+  const gp::CompiledProgram* program = nullptr;
+  gp::CompiledProgram compiled;
+  if (compiled_scoring_) {
+    compiled = gp::CompiledProgram::compile(heuristic);
+    program = &compiled;
+  }
+  // Cross-generation memo: keyed by the canonical program (compiled
+  // scoring) or the raw tree (interpreter); skipped for injected jobs, whose
+  // degradation is ordinal-dependent. A hit still charges the full budget.
+  // Concurrent scalar callers race benignly: both compute identical bits,
+  // insert() keeps one.
+  const bool use_xgen = xgen_active() && !injected;
+  const std::span<const gp::Node> key_nodes =
+      program != nullptr ? program->canonical_nodes() : heuristic.nodes();
+  if (use_xgen) {
+    Evaluation cached;
+    if (xgen_.lookup(key_nodes, pricing, purpose, &cached)) {
+      obs::count(metrics_, "memo/xgen_hits");
+      count_guard(cached);
+      return cached;
+    }
+  }
+
+  Evaluation result;
+  if (lp_warm_ == LpWarm::kPool && !injected) {
+    const RelaxationPtr relax = relaxation(pricing);
+    ContextLease lease(*this);
+    result = finish_heuristic(lease.get(), *relax, job, program);
+  } else {
+    ContextLease lease(*this);
+    result = heuristic_job(lease.get(), job, program, injected);
+  }
+  count_guard(result);
+  if (use_xgen) {
+    const long long evictions_before = xgen_.evictions();
+    xgen_.insert(key_nodes, pricing, purpose, result);
+    const long long evicted = xgen_.evictions() - evictions_before;
+    if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
+  }
+  return result;
+}
+
+Evaluation Evaluator::evaluate_with_selection(
+    std::span<const double> pricing, std::span<const std::uint8_t> selection,
+    EvalPurpose purpose) {
+  const SelectionJob job{pricing, selection, purpose};
+  const bool injected =
+      inject_now(ll_evals_.load(std::memory_order_relaxed));
+  charge(purpose);
+  Evaluation result;
+  if (lp_warm_ == LpWarm::kPool && !injected) {
+    const RelaxationPtr relax = relaxation(pricing);
+    ContextLease lease(*this);
+    result = finish_selection(lease.get(), *relax, job);
+  } else {
+    ContextLease lease(*this);
+    result = selection_job(lease.get(), job, injected);
+  }
+  count_guard(result);
+  return result;
 }
 
 Evaluation Evaluator::evaluate_with_score(std::span<const double> pricing,
@@ -279,47 +681,13 @@ Evaluation Evaluator::evaluate_with_score(std::span<const double> pricing,
                                           EvalPurpose purpose) {
   const RelaxationPtr relax = relaxation(pricing);
   charge(purpose);
-  const ConstructionBudget plan = plan_construction(ctx_.guard, *relax);
-  Evaluation result;
-  if (plan.skip) {
-    result = skipped_evaluation(inst_, pricing, *relax,
-                                guard::Trip::kNodeBudget, purpose);
-  } else {
-    obs::ScopedTimer timer(metrics_, "time/ll_solve");
-    const cover::SolveResult solved =
-        solve_with_score(ctx_, *relax, pricing, score, plan.options);
-    timer.stop();
-    result = finalize_evaluation(inst_, pricing, solved, *relax, purpose);
-  }
-  count_guard(result);
-  return result;
-}
-
-Evaluation Evaluator::evaluate_with_selection(
-    std::span<const double> pricing, std::span<const std::uint8_t> selection,
-    EvalPurpose purpose) {
-  const long long ordinal = ll_evals_;
-  if (inject_now(ordinal)) {
-    charge(purpose);
-    const cover::Relaxation relax = solve_relaxation_guarded(
-        ctx_, pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
-    if (relax.stats.warm_start_rejected) ++warm_rejects_;
-    Evaluation result = finish_selection(relax, pricing, selection, purpose);
-    count_guard(result);
-    return result;
-  }
-
-  common::Stopwatch watchdog;
-  const RelaxationPtr relax = relaxation(pricing);
-  charge(purpose);
-  if (guard_.limits.watchdog_seconds > 0.0 &&
-      watchdog.seconds() > guard_.limits.watchdog_seconds) {
-    Evaluation result = skipped_evaluation(inst_, pricing, *relax,
-                                           guard::Trip::kWatchdog, purpose);
-    count_guard(result);
-    return result;
-  }
-  Evaluation result = finish_selection(*relax, pricing, selection, purpose);
+  ContextLease lease(*this);
+  EvalContext& ctx = lease.get();
+  const Evaluation result =
+      construct(inst_, metrics_, ctx, *relax, pricing, purpose,
+                [&](const cover::GreedyOptions& greedy) {
+                  return solve_with_score(ctx, *relax, pricing, score, greedy);
+                });
   count_guard(result);
   return result;
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <string>
+#include <thread>
+
+#include "carbon/bcpop/multi_follower.hpp"
 #include "carbon/bilevel/gap.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/ea/binary_ops.hpp"
@@ -133,7 +139,7 @@ TEST(Evaluator, RelaxationIsMemoized) {
 
 TEST(Evaluator, CacheEvictionStillCorrect) {
   const Instance inst = make_instance();
-  Evaluator eval(inst, /*relaxation_cache_capacity=*/2);
+  Evaluator eval(inst, {.threads = 1, .relaxation_cache_capacity = 2});
   common::Rng rng(5);
   const Pricing base = mid_pricing(inst);
   const double lb0 = eval.relaxation(base)->lower_bound;
@@ -152,7 +158,7 @@ TEST(Evaluator, EvictedRelaxationStaysValidWhileHeld) {
   // cache now hands out shared ownership, so a held relaxation survives any
   // amount of churn in a capacity-1 cache.
   const Instance inst = make_instance();
-  Evaluator eval(inst, /*relaxation_cache_capacity=*/1);
+  Evaluator eval(inst, {.threads = 1, .relaxation_cache_capacity = 1});
   const Pricing base = mid_pricing(inst);
   const auto held = eval.relaxation(base);
   ASSERT_NE(held, nullptr);
@@ -225,6 +231,82 @@ TEST(Evaluator, GapIsNonNegativeAcrossRandomHeuristics) {
     ASSERT_TRUE(e.ll_feasible);
     ASSERT_GE(e.gap_percent, 0.0);
   }
+}
+
+/// Live OS threads of this process ("Threads:" in /proc/self/status), or -1
+/// where that file does not exist.
+long os_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return -1;
+}
+
+/// A heuristic batch, a selection batch and scalar calls of each kind.
+void exercise(EvaluatorInterface& eval) {
+  Pricing pricing;
+  for (const auto& b : eval.price_bounds()) {
+    pricing.push_back(0.5 * (b.lo + b.hi));
+  }
+  const gp::Tree tree = cost_effectiveness_tree();
+  const std::vector<std::uint8_t> none(eval.genome_length(), 0);
+  const std::vector<HeuristicJob> heuristic_jobs(
+      3, HeuristicJob{pricing, &tree, EvalPurpose::kBoth});
+  const std::vector<SelectionJob> selection_jobs(
+      3, SelectionJob{pricing, none, EvalPurpose::kBoth});
+  (void)eval.evaluate_heuristic_batch(heuristic_jobs);
+  (void)eval.evaluate_selection_batch(selection_jobs);
+  (void)eval.evaluate_with_heuristic(pricing, tree);
+  (void)eval.evaluate_with_selection(pricing, none);
+}
+
+TEST(Evaluator, OneParticipantStartsNoThread) {
+  const long before = os_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  const Instance inst = make_instance();
+  for (const LpWarm warm : {LpWarm::kBaseline, LpWarm::kPool}) {
+    Evaluator eval(inst, {.threads = 1, .lp_warm = warm});
+    EXPECT_EQ(eval.participants(), 1u);
+    exercise(eval);
+    EXPECT_EQ(os_threads(), before);
+  }
+  Evaluator plain(inst);
+  EXPECT_EQ(plain.participants(), 1u);
+  exercise(plain);
+  EXPECT_EQ(os_threads(), before);
+
+  const MultiFollowerProblem problem =
+      make_multi_follower(make_instance(), /*num_followers=*/3);
+  MultiFollowerEvaluator multi(problem);
+  exercise(multi);
+  EXPECT_EQ(os_threads(), before);
+}
+
+TEST(Evaluator, ThreadsZeroMeansHardwareConcurrencyParticipantsInTotal) {
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const Instance inst = make_instance();
+  // Sanitizer runtimes start a helper thread along with the first thread a
+  // process creates; create (and join) one first so the count below sees
+  // only the evaluator's workers.
+  std::thread([] {}).join();
+  const long before = os_threads();
+  Evaluator eval(inst, {.threads = 0});
+  // The calling thread is one of the participants: no oversubscription.
+  EXPECT_EQ(eval.participants(), hardware);
+  if (before >= 0) {
+    EXPECT_EQ(os_threads() - before, static_cast<long>(hardware) - 1);
+  }
+  exercise(eval);
+}
+
+TEST(Evaluator, TwoOrMoreThreadsMeanThatManyWorkersPlusTheCaller) {
+  const Instance inst = make_instance();
+  Evaluator eval(inst, {.threads = 2});
+  EXPECT_EQ(eval.participants(), 3u);
+  exercise(eval);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "carbon/bcpop/evaluator.hpp"
+#include "bcpop/eval_oracle.hpp"
 #include "carbon/bcpop/relaxation_cache.hpp"
 #include "carbon/cobra/cobra_solver.hpp"
 #include "carbon/core/carbon_solver.hpp"
@@ -57,10 +57,10 @@ TEST(ParallelEvaluator, HeuristicBatchMatchesSerialBitwise) {
     }
   }
 
-  Evaluator serial(inst);
-  const std::vector<Evaluation> want = serial.evaluate_heuristic_batch(jobs);
+  test::EvalOracle oracle(inst);
+  const std::vector<Evaluation> want = oracle.heuristic_batch(jobs);
 
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   const std::vector<Evaluation> got = par.evaluate_heuristic_batch(jobs);
 
   ASSERT_EQ(got.size(), jobs.size());
@@ -84,10 +84,10 @@ TEST(ParallelEvaluator, SelectionBatchMatchesSerialBitwise) {
     jobs.push_back({pricings[i], genomes[i], EvalPurpose::kBoth});
   }
 
-  Evaluator serial(inst);
-  const std::vector<Evaluation> want = serial.evaluate_selection_batch(jobs);
+  test::EvalOracle oracle(inst);
+  const std::vector<Evaluation> want = oracle.selection_batch(jobs);
 
-  ParallelEvaluator par(inst, /*threads=*/3);
+  ParallelEvaluator par(inst, {.threads = 3});
   const std::vector<Evaluation> got = par.evaluate_selection_batch(jobs);
 
   ASSERT_EQ(got.size(), jobs.size());
@@ -105,7 +105,7 @@ TEST(ParallelEvaluator, ResultsAreInSubmissionOrder) {
   for (const auto& p : pricings) {
     jobs.push_back({p, everything, EvalPurpose::kBoth});
   }
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   const auto got = par.evaluate_selection_batch(jobs);
 
   // Full basket is already feasible, so results[i] must report exactly the
@@ -131,7 +131,7 @@ TEST(ParallelEvaluator, CountersMatchSerialAndPurposeRules) {
     both_jobs.push_back({p, &tree, EvalPurpose::kBoth});
   }
 
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   (void)par.evaluate_heuristic_batch(lower_jobs);
   EXPECT_EQ(par.ul_evaluations(), 0);
   EXPECT_EQ(par.ll_evaluations(), 8);
@@ -155,7 +155,7 @@ TEST(ParallelEvaluator, CacheOnceSemantics) {
       jobs.push_back({p, everything, EvalPurpose::kLowerOnly});
     }
   }
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   (void)par.evaluate_selection_batch(jobs);
 
   EXPECT_EQ(par.relaxations_solved(), 8);
@@ -172,13 +172,12 @@ TEST(ParallelEvaluator, ScalarCallsWorkAndShareTheCache) {
   opt.threads = 2;
   opt.memo_xgen = false;
   ParallelEvaluator par(inst, opt);
-  Evaluator serial(inst);
-  serial.set_memo_xgen(false);
+  test::EvalOracle oracle(inst);
   const auto pricings = random_pricings(inst, 4, 77);
   common::Rng rng(19);
   const gp::Tree tree = gp::generate_ramped(rng);
   for (const auto& p : pricings) {
-    expect_same(serial.evaluate_with_heuristic(p, tree),
+    expect_same(oracle.heuristic(p, tree),
                 par.evaluate_with_heuristic(p, tree));
   }
   EXPECT_EQ(par.relaxations_solved(), 4);
@@ -190,13 +189,13 @@ TEST(ParallelEvaluator, ScalarCallsWorkAndShareTheCache) {
 
 TEST(ParallelEvaluator, ScalarRepeatIsServedByTheScoreMemo) {
   const Instance inst = make_instance();
-  ParallelEvaluator par(inst, /*threads=*/2);
-  Evaluator serial(inst);
+  ParallelEvaluator par(inst, {.threads = 2});
+  test::EvalOracle oracle(inst);
   const auto pricings = random_pricings(inst, 4, 77);
   common::Rng rng(19);
   const gp::Tree tree = gp::generate_ramped(rng);
   for (const auto& p : pricings) {
-    expect_same(serial.evaluate_with_heuristic(p, tree),
+    expect_same(oracle.heuristic(p, tree),
                 par.evaluate_with_heuristic(p, tree));
   }
   EXPECT_EQ(par.relaxations_solved(), 4);
@@ -204,7 +203,7 @@ TEST(ParallelEvaluator, ScalarRepeatIsServedByTheScoreMemo) {
   // A repeat is answered by the cross-generation score cache without a new
   // relaxation solve OR lookup — but it still charges the LL budget.
   const Evaluation again = par.evaluate_with_heuristic(pricings[0], tree);
-  expect_same(serial.evaluate_with_heuristic(pricings[0], tree), again);
+  expect_same(oracle.heuristic(pricings[0], tree), again);
   EXPECT_EQ(par.relaxations_solved(), 4);
   EXPECT_EQ(par.score_cache().hits(), 1);
   EXPECT_EQ(par.ll_evaluations(), ll_before + 1);
@@ -223,9 +222,11 @@ TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   ParallelEvaluator par(inst, opt);
 
   const auto pricings = random_pricings(inst, 32, 3);
-  Evaluator reference(inst, /*relaxation_cache_capacity=*/64);
+  test::EvalOracle oracle(inst);
   std::vector<double> want;
-  for (const auto& p : pricings) want.push_back(reference.relaxation(p)->lower_bound);
+  for (const auto& p : pricings) {
+    want.push_back(oracle.relaxation(p).lower_bound);
+  }
 
   const std::vector<std::uint8_t> everything(inst.num_bundles(), 1);
   std::vector<SelectionJob> jobs;
@@ -245,7 +246,7 @@ TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   EXPECT_LE(par.cache().size(), 1u);
 }
 
-// --- End-to-end determinism: N threads == serial, bit for bit -------------
+// --- End-to-end determinism: N threads == one participant, bit for bit ----
 
 core::CarbonConfig small_carbon_config() {
   core::CarbonConfig cfg;
@@ -356,7 +357,7 @@ TEST(CompiledScoring, EvaluatorMatchesInterpreterBitwise) {
 
 TEST(CompiledScoring, CarbonRunIsToggleInvariant) {
   // The acceptance bar of the compiled path: fixed-seed CARBON trajectories
-  // are bit-identical with compiled scoring on vs off, serial and parallel.
+  // are bit-identical with compiled scoring on vs off, at 1 and 5 participants.
   const Instance inst = make_instance();
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     core::CarbonConfig on = small_carbon_config();
@@ -410,7 +411,7 @@ TEST(CompiledScoring, BatchMemoDeduplicatesButStillCharges) {
     }
   }
 
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   const auto got = par.evaluate_heuristic_batch(jobs);
   ASSERT_EQ(got.size(), jobs.size());
   // Budget counters charge every submitted job; the memo only avoids
@@ -419,10 +420,9 @@ TEST(CompiledScoring, BatchMemoDeduplicatesButStillCharges) {
   EXPECT_EQ(par.heuristic_dedup_hits(),
             static_cast<long long>(jobs.size()) - 3);
   // All duplicates share the representative's bits.
-  Evaluator serial(inst);
+  test::EvalOracle oracle(inst);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_same(serial.evaluate_with_heuristic(jobs[i].pricing, tree,
-                                               jobs[i].purpose),
+    expect_same(oracle.heuristic(jobs[i].pricing, tree, jobs[i].purpose),
                 got[i]);
   }
 }
@@ -454,7 +454,7 @@ TEST(CompiledScoring, MemoMergesCanonicallyEqualTrees) {
 TEST(CompiledScoring, MixedDuplicateAndUniqueJobsAccountExactly) {
   // A batch interleaving unique (tree, pricing) pairs with duplicates at
   // several multiplicities: dedup must charge every job to the budget but
-  // count exactly jobs - unique memo hits, serial and parallel alike.
+  // count exactly jobs - unique memo hits, at any participant count.
   const Instance inst = make_instance();
   common::Rng rng(53);
   std::vector<gp::Tree> trees;
@@ -476,7 +476,7 @@ TEST(CompiledScoring, MixedDuplicateAndUniqueJobsAccountExactly) {
   ASSERT_GT(jobs.size(), unique);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ParallelEvaluator par(inst, threads);
+    ParallelEvaluator par(inst, {.threads = threads});
     const auto got = par.evaluate_heuristic_batch(jobs);
     ASSERT_EQ(got.size(), jobs.size());
     EXPECT_EQ(par.ll_evaluations(), static_cast<long long>(jobs.size()));
@@ -502,22 +502,22 @@ TEST(BackendStats, MirrorsTheIndividualCountersOnBothEvaluators) {
     }
   }
 
-  Evaluator serial(inst);
-  (void)serial.evaluate_heuristic_batch(jobs);
-  const BackendStats ss = serial.backend_stats();
-  EXPECT_EQ(ss.relaxation_cache_hits, serial.relaxation_cache_hits());
-  EXPECT_EQ(ss.relaxation_cache_misses, serial.relaxations_solved());
-  EXPECT_EQ(ss.heuristic_dedup_hits, serial.heuristic_dedup_hits());
+  Evaluator one(inst);  // one participant
+  (void)one.evaluate_heuristic_batch(jobs);
+  const BackendStats ss = one.backend_stats();
+  EXPECT_EQ(ss.relaxation_cache_hits, one.relaxation_cache_hits());
+  EXPECT_EQ(ss.relaxation_cache_misses, one.relaxations_solved());
+  EXPECT_EQ(ss.heuristic_dedup_hits, one.heuristic_dedup_hits());
   EXPECT_EQ(ss.relaxation_cache_evictions, 0);
   EXPECT_GT(ss.heuristic_dedup_hits, 0);
 
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   (void)par.evaluate_heuristic_batch(jobs);
   const BackendStats ps = par.backend_stats();
   EXPECT_EQ(ps.relaxation_cache_hits, par.relaxation_cache_hits());
   EXPECT_EQ(ps.relaxation_cache_misses, par.relaxations_solved());
   EXPECT_EQ(ps.heuristic_dedup_hits, par.heuristic_dedup_hits());
-  // Same workload => same backend accounting as the serial evaluator.
+  // Same workload => same backend accounting at one participant and five.
   EXPECT_EQ(ps.relaxation_cache_misses, ss.relaxation_cache_misses);
   EXPECT_EQ(ps.heuristic_dedup_hits, ss.heuristic_dedup_hits);
 }
@@ -562,7 +562,7 @@ TEST(CompiledScoring, ConcurrentBatchesAreRaceFree) {
       jobs.push_back({p, &tree, EvalPurpose::kLowerOnly});  // memo duplicate
     }
   }
-  ParallelEvaluator par(inst, /*threads=*/4);
+  ParallelEvaluator par(inst, {.threads = 4});
   std::vector<Evaluation> first;
   for (int round = 0; round < 4; ++round) {
     auto got = par.evaluate_heuristic_batch(jobs);

@@ -349,7 +349,7 @@ TEST(CheckpointResume, ReusedEvaluatorWithWarmCachesResumesBitIdentically) {
   const Trajectory golden_run = carbon_golden(inst);
   const std::string path = temp_path("carbon-poison.ckpt");
 
-  bcpop::ParallelEvaluator eval(inst, /*threads=*/4);
+  bcpop::ParallelEvaluator eval(inst, {.threads = 4});
 
   // Phase 1: kill right after the checkpoint at generation 2.
   core::CarbonConfig cfg = golden::carbon_config();

@@ -2,6 +2,7 @@
 // exact -> solve, checking exit codes and that artifacts appear. The binary
 // path is injected by CMake as CARBON_CLI_PATH.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -155,6 +156,51 @@ TEST(Cli, EveryAlgorithmSolves) {
               0)
         << algo;
   }
+}
+
+// A market whose demand (9999 per service) exceeds its total supply: no
+// cover exists at any price.
+std::string infeasible_market() {
+  const std::string path = carbon::test::test_temp_dir() + "infeasible.orlib";
+  std::ofstream(path) << "4 2\n1 1 1 1\n1 1 0 0\n1 1 1 0\n9999 9999\n";
+  return path;
+}
+
+/// Runs `args` and checks it fails as a runtime failure (exit code 2) with
+/// the reason on stderr and nothing that looks like a result on stdout.
+void expect_infeasible_market_failure(const std::string& args) {
+  const std::string dir = carbon::test::test_temp_dir();
+  const std::string cmd = cli() + " " + args + " > " + dir + "out.txt 2> " +
+                          dir + "err.txt";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  std::stringstream out;
+  std::stringstream err;
+  out << std::ifstream(dir + "out.txt").rdbuf();
+  err << std::ifstream(dir + "err.txt").rdbuf();
+  EXPECT_NE(err.str().find("infeasible market"), std::string::npos) << cmd;
+  EXPECT_EQ(out.str().find("gap"), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find("lower bound"), std::string::npos) << out.str();
+}
+
+TEST(Cli, RelaxRejectsInfeasibleMarket) {
+  expect_infeasible_market_failure("relax --in " + infeasible_market());
+}
+
+TEST(Cli, ExactRejectsInfeasibleMarket) {
+  expect_infeasible_market_failure("exact --in " + infeasible_market());
+}
+
+TEST(Cli, GreedyRejectsInfeasibleMarket) {
+  expect_infeasible_market_failure("greedy --in " + infeasible_market());
+}
+
+TEST(Cli, SolveRejectsInfeasibleMarketBeforeRunning) {
+  // A run would report the infeasibility sentinel as its best %-gap.
+  expect_infeasible_market_failure("solve --in " + infeasible_market() +
+                                   " --owned 1 --algo carbon --pop 8 "
+                                   "--ul-budget 40 --ll-budget 100");
 }
 
 }  // namespace

@@ -33,15 +33,22 @@
 //       per-evaluation budgets (simplex iterations, greedy rounds, total LL
 //       nodes) with a fixed degradation ladder, plus an opt-in wall-clock
 //       watchdog (carbon and cobra only; docs/ALGORITHMS.md §13).
-//       --sched picks the parallel evaluator's fan-out engine and
-//       --memo-xgen toggles cross-generation score memoization; both are
-//       trajectory-neutral knobs for benchmarking and differential testing
-//       (carbon and cobra only; docs/ALGORITHMS.md §14). --lp-warm picks
+//       --threads sets eval_threads (carbon and cobra): 1 (default)
+//       evaluates inline on the calling thread, T >= 2 runs T worker
+//       threads plus the calling thread; results are bit-identical for any
+//       T. --sched picks the fan-out engine used with two or more
+//       participants and --memo-xgen toggles cross-generation score
+//       memoization; both are trajectory-neutral knobs for benchmarking and
+//       differential testing (carbon and cobra only; docs/ALGORITHMS.md
+//       §14). --lp-warm picks
 //       the LL relaxation warm-start policy: baseline (default, the fixed
 //       base-cost basis — historical trajectories bit for bit) or pool
 //       (nearest pooled basis; deterministic for any --threads but a
 //       DIFFERENT golden axis — carbon and cobra only;
 //       docs/ALGORITHMS.md §15).
+//
+// Every command that reads --in rejects a market whose demand exceeds its
+// total supply (no cover exists at any price) with exit code 2.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
@@ -78,12 +85,25 @@ int usage() {
   return 1;
 }
 
+/// Loads --in FILE. A market whose demand exceeds its total supply has no
+/// cover at any price, so every command rejects it before doing any work.
 cover::Instance load(const common::CliArgs& args) {
   const std::string path = args.get("in", "");
   if (path.empty()) {
     throw std::runtime_error("--in FILE is required");
   }
-  return cover::load_orlib(path);
+  cover::Instance inst = cover::load_orlib(path);
+  if (!inst.coverable()) {
+    throw std::runtime_error(
+        "infeasible market: demand exceeds total supply");
+  }
+  return inst;
+}
+
+/// Runtime failure: message on stderr, exit code 2.
+int fail(const char* command, const char* what) {
+  std::fprintf(stderr, "carbon %s: %s\n", command, what);
+  return 2;
 }
 
 int cmd_generate(const common::CliArgs& args) {
@@ -107,10 +127,7 @@ int cmd_generate(const common::CliArgs& args) {
 int cmd_relax(const common::CliArgs& args) {
   const cover::Instance inst = load(args);
   const cover::Relaxation r = cover::relax(inst);
-  if (!r.feasible) {
-    std::printf("infeasible: demands exceed market supply\n");
-    return 0;
-  }
+  if (!r.feasible) return fail("relax", "LP relaxation is infeasible");
   std::printf("lower bound: %.6f\n", r.lower_bound);
   std::printf("duals:");
   for (double d : r.duals) std::printf(" %.4f", d);
@@ -124,10 +141,7 @@ int cmd_exact(const common::CliArgs& args) {
   opts.max_nodes =
       static_cast<std::size_t>(args.get_int("max-nodes", 200'000));
   const cover::ExactResult r = cover::exact_solve(inst, opts);
-  if (!r.feasible) {
-    std::printf("infeasible\n");
-    return 0;
-  }
+  if (!r.feasible) return fail("exact", "no feasible cover found");
   std::printf("value: %.6f (%s, %zu nodes)\n", r.value,
               r.proven_optimal ? "proven optimal" : "node budget hit",
               r.nodes_explored);
@@ -142,10 +156,7 @@ int cmd_exact(const common::CliArgs& args) {
 int cmd_greedy(const common::CliArgs& args) {
   const cover::Instance inst = load(args);
   const cover::Relaxation rel = cover::relax(inst);
-  if (!rel.feasible) {
-    std::printf("infeasible\n");
-    return 0;
-  }
+  if (!rel.feasible) return fail("greedy", "LP relaxation is infeasible");
   cover::SolveResult r;
   std::string how;
   if (args.has("tree")) {
@@ -169,10 +180,7 @@ int cmd_greedy(const common::CliArgs& args) {
       return 1;
     }
   }
-  if (!r.feasible) {
-    std::printf("instance cannot be covered\n");
-    return 0;
-  }
+  if (!r.feasible) return fail("greedy", "greedy found no feasible cover");
   std::printf("heuristic: %s\n", how.c_str());
   std::printf("value: %.6f  lower bound: %.6f  gap: %.4f%%\n", r.value,
               rel.lower_bound,

@@ -17,8 +17,12 @@ cd "$(dirname "$0")/.."
 # cross-generation score cache (sharded LRU under concurrent mixed
 # lookup/insert traffic at eviction pressure), the
 # sharded relaxation cache (direct eviction/pinning contention), the
-# parallel evaluator (including the capacity-1 eviction churn, the
-# thread-count-invariance runs, and the compiled-scoring batch memo), the
+# evaluator (including the capacity-1 eviction churn, the
+# thread-count-invariance runs, and the compiled-scoring batch memo) and
+# its sequential-oracle differential (eval_oracle_test: every entry point
+# at one participant and on both fan-out engines, bit for bit against a
+# cache-free loop over eval_core — TSan sees the shared caches and the
+# memo under fan-out, ASan the one-participant inline path), the
 # compiled-program fuzz (per-context register scratch must stay
 # thread-private), the metrics registry (sharded counters/timers
 # hammered from pool workers while a reader snapshots), and the LP
@@ -26,9 +30,9 @@ cd "$(dirname "$0")/.."
 # CSC arrays in every inner loop; ASan/UBSan verify those accesses on
 # randomized degenerate/infeasible/unbounded instances), the
 # checkpoint kill/resume harness (checkpoints are written mid-run while
-# the parallel evaluator is live; the bit-identical-resume assertions run
-# at eval_threads 4, so TSan sees the full snapshot-under-concurrency
-# path), the SIMD scalar-vs-AVX2 differential fuzz (the 4-wide kernels
+# a multi-participant evaluator is live; the bit-identical-resume
+# assertions run at eval_threads 4, so TSan sees the full
+# snapshot-under-concurrency path), the SIMD scalar-vs-AVX2 differential fuzz (the 4-wide kernels
 # stride raw register rows — ASan/UBSan check every ragged tail, TSan the
 # lazy dispatch slot resolved from concurrent evaluations), and the
 # incremental-greedy differential (the dirty-set gather/scatter indexes
@@ -50,7 +54,8 @@ cd "$(dirname "$0")/.."
 # tests/CMakeLists.txt.
 TESTS=(thread_pool_test task_scheduler_test metrics_test
        relaxation_cache_test score_cache_test
-       bcpop_evaluator_test parallel_evaluator_test gp_compiled_test
+       bcpop_evaluator_test parallel_evaluator_test eval_oracle_test
+       gp_compiled_test
        simplex_differential_test checkpoint_resume_test
        gp_simd_eval_test greedy_incremental_test
        guard_test guard_degradation_test
