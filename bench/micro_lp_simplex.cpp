@@ -3,16 +3,20 @@
 //
 // Part 1 — kernel grid: for relaxation-shaped problems (n = 4m covering
 // columns, >= rows) across an m x density grid, times the two inner loops
-// the solver spends its life in — the pricing sweep (column_dot over every
+// the solver spends its life in — the pricing sweep (one dot product per
 // column) and FTRAN column formation (B^-1 A_j) — against dense columns
-// materialized exactly as the pre-sparse lp::Problem stored them. The loops
-// here mirror SimplexSolver's kernels over the same storage; both variants
-// compute bit-identical results (asserted).
+// materialized exactly as the pre-sparse lp::Problem stored them. Pricing
+// is timed three ways: dense columns, per-column sparse sums, and the
+// lp::PricingPanel tiles the solver prices with. The loops mirror
+// SimplexSolver's kernels over the same storage; all variants compute
+// bit-identical results (asserted).
 //
-// Part 2 — end-to-end: replays eval_core's hot path (warm-started
-// cover::solve_relaxation_lp with per-pricing objective swaps) on generated
-// covering instances, dense vs sparse mode, asserting bit-identical
-// iteration counts and objectives.
+// Part 2 — end-to-end: replays eval_core's hot path (a ProblemFamily rebound
+// per pricing, warm-started from the baseline basis with a reused
+// SolveScratch) on generated covering instances, dense reference vs
+// production kernels, asserting bit-identical iteration counts and
+// objectives. Includes the paper's class 8 shape (m = 30, n = 500,
+// density 0.75), where LP time is spent in COBRA runs.
 //
 // Part 3 — evaluator replay: simulates the UL population walk the
 // evaluator actually serves (a population of pricings mutating
@@ -29,11 +33,15 @@
 //   repetition counts to a sub-second run for the bench-smoke ctest label.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "carbon/bcpop/basis_pool.hpp"
@@ -92,8 +100,10 @@ struct KernelCase {
   double density;
   double nnz_frac;  ///< measured nonzero fraction of the matrix
   double pricing_dense_ns;   ///< full pricing sweep, per column
-  double pricing_sparse_ns;
-  double pricing_speedup;
+  double pricing_sparse_ns;  ///< per-column sparse sums
+  double pricing_panel_ns;   ///< lp::PricingPanel tiles (the solver's path)
+  double pricing_speedup;    ///< dense / sparse
+  double pricing_panel_speedup;  ///< dense / panel
   double ftran_dense_ns;     ///< one B^-1 A_j, per column
   double ftran_sparse_ns;
   double ftran_speedup;
@@ -143,6 +153,30 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
   }
   const double sparse_sweep_s = seconds_since(t1);
   sink += check;
+
+  // Pricing sweep, panel: all columns tile by tile.
+  const lp::PricingPanel panel(p);
+  std::vector<double> dots(n);
+  const auto tp = Clock::now();
+  for (std::size_t r = 0; r < sweep_reps; ++r) {
+    panel.dot_all(y, dots);
+    sink += dots[r % n];
+  }
+  const double panel_sweep_s = seconds_since(tp);
+  // Bitwise agreement of every column's panel dot with its sparse sum.
+  for (std::size_t j = 0; j < n; ++j) {
+    const lp::SparseColumn& col = p.columns[j];
+    double acc = 0.0;
+    for (std::size_t k = 0; k < col.nnz(); ++k) {
+      acc += col.values[k] * y[static_cast<std::size_t>(col.rows[k])];
+    }
+    if (std::bit_cast<std::uint64_t>(acc) !=
+        std::bit_cast<std::uint64_t>(dots[j])) {
+      std::fprintf(stderr, "panel mismatch at m=%zu density=%.2f col %zu\n",
+                   m, density, j);
+      std::abort();
+    }
+  }
 
   // FTRAN: alpha = B^-1 A_j for a rotating set of columns.
   const std::size_t ftran_reps = std::max<std::size_t>(
@@ -201,7 +235,9 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
       static_cast<double>(sweep_reps) * static_cast<double>(n);
   c.pricing_dense_ns = dense_sweep_s * 1e9 / sweep_cols;
   c.pricing_sparse_ns = sparse_sweep_s * 1e9 / sweep_cols;
+  c.pricing_panel_ns = panel_sweep_s * 1e9 / sweep_cols;
   c.pricing_speedup = c.pricing_dense_ns / c.pricing_sparse_ns;
+  c.pricing_panel_speedup = c.pricing_dense_ns / c.pricing_panel_ns;
   const double ftran_cols = static_cast<double>(ftran_reps) * 8.0;
   c.ftran_dense_ns = dense_ftran_s * 1e9 / ftran_cols;
   c.ftran_sparse_ns = sparse_ftran_s * 1e9 / ftran_cols;
@@ -214,7 +250,7 @@ struct EndToEndCase {
   double density;
   std::size_t solves;
   double dense_us;   ///< per warm-started solve
-  double sparse_us;
+  double sparse_us;  ///< production kernels: panel pricing + sparse FTRAN
   double speedup;
   long long iterations;  ///< total pivots (identical in both modes)
 };
@@ -227,17 +263,15 @@ EndToEndCase run_end_to_end_case(std::size_t services, std::size_t bundles,
   cfg.density = density;
   cfg.seed = 1000 + services + bundles;
   const cover::Instance inst = cover::generate(cfg);
-  lp::Problem p = cover::build_relaxation_lp(inst);
-
-  // Baseline basis, exactly as EvalContext pins it at construction.
-  lp::Basis baseline;
-  {
-    const lp::Solution sol = lp::solve(p, {}, &baseline);
-    if (!sol.optimal()) {
-      std::fprintf(stderr, "baseline solve failed\n");
-      std::abort();
-    }
+  const cover::RelaxationFamily shared(inst);
+  if (shared.baseline_basis.empty()) {
+    std::fprintf(stderr, "baseline solve failed\n");
+    std::abort();
   }
+  // A per-context copy, as EvalContext holds it: shares the constraints and
+  // the pricing panel, rebinds its own objective.
+  lp::ProblemFamily family = shared.family;
+  lp::SolveScratch solve_scratch;
 
   // Deterministic batch of leader pricings: multiplicative perturbations of
   // the base costs, the shape of load the EA's price mutations produce (and
@@ -267,10 +301,10 @@ EndToEndCase run_end_to_end_case(std::size_t services, std::size_t bundles,
                             double& obj_acc) {
     const auto t0 = Clock::now();
     for (const auto& pr : pricings) {
-      for (std::size_t j = 0; j < bundles; ++j) p.objective[j] = pr[j];
-      scratch = baseline;
+      family.rebind(pr);
+      scratch = shared.baseline_basis;
       const cover::Relaxation relax = cover::solve_relaxation_lp(
-          p, opts, scratch.empty() ? nullptr : &scratch);
+          family, opts, &scratch, &solve_scratch);
       iters += relax.stats.iterations;
       obj_acc += relax.lower_bound;
     }
@@ -447,6 +481,36 @@ ReplayCase run_replay_case(std::size_t services, std::size_t bundles,
   return c;
 }
 
+double us_per_pivot(double us_per_solve, const EndToEndCase& c) {
+  return c.iterations == 0 ? 0.0
+                           : us_per_solve * static_cast<double>(c.solves) /
+                                 static_cast<double>(c.iterations);
+}
+
+/// The host CPU, so a committed result names the hardware behind it.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      const auto start = line.find_first_not_of(' ', colon + 1);
+      return start == std::string::npos ? "" : line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -478,16 +542,17 @@ int main(int argc, char** argv) {
   }
 
   std::printf("kernel grid (pricing sweep + FTRAN, per column)\n");
-  std::printf("%5s %6s %8s %8s | %11s %11s %8s | %11s %11s %8s\n", "m", "n",
-              "density", "nnz", "price dn/ns", "price sp/ns", "speedup",
-              "ftran dn/ns", "ftran sp/ns", "speedup");
+  std::printf("%5s %6s %8s %8s | %11s %11s %11s %8s | %11s %11s %8s\n", "m",
+              "n", "density", "nnz", "price dn/ns", "price sp/ns",
+              "price pn/ns", "pn spdup", "ftran dn/ns", "ftran sp/ns",
+              "speedup");
   for (const KernelCase& c : kernels) {
     std::printf(
-        "%5zu %6zu %8.2f %8.3f | %11.1f %11.1f %7.2fx | %11.1f %11.1f "
+        "%5zu %6zu %8.2f %8.3f | %11.1f %11.1f %11.1f %7.2fx | %11.1f %11.1f "
         "%7.2fx\n",
         c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns,
-        c.pricing_sparse_ns, c.pricing_speedup, c.ftran_dense_ns,
-        c.ftran_sparse_ns, c.ftran_speedup);
+        c.pricing_sparse_ns, c.pricing_panel_ns, c.pricing_panel_speedup,
+        c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup);
   }
 
   // End-to-end: eval_core's warm-started relaxation path on generated
@@ -499,9 +564,9 @@ int main(int argc, char** argv) {
   };
   const std::vector<Shape> shapes =
       smoke ? std::vector<Shape>{{20, 80, 0.10}}
-            : std::vector<Shape>{{50, 400, 0.10},  {200, 800, 0.05},
-                                 {200, 800, 0.10}, {200, 800, 0.25},
-                                 {400, 1600, 0.10}};
+            : std::vector<Shape>{{30, 500, 0.75},  {50, 400, 0.10},
+                                 {200, 800, 0.05}, {200, 800, 0.10},
+                                 {200, 800, 0.25}, {400, 1600, 0.10}};
   for (const Shape& s : shapes) {
     std::fprintf(stderr, "# end-to-end m=%zu n=%zu density=%.2f...\n",
                  s.services, s.bundles, s.density);
@@ -509,12 +574,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nend-to-end warm-started solve_relaxation batch\n");
-  std::printf("%5s %6s %8s %7s %8s | %12s %12s %8s\n", "m", "n", "density",
-              "solves", "pivots", "dense us/sv", "sparse us/sv", "speedup");
+  std::printf("%5s %6s %8s %7s %8s | %12s %12s %8s | %12s\n", "m", "n",
+              "density", "solves", "pivots", "dense us/sv", "sparse us/sv",
+              "speedup", "sparse us/pv");
   for (const EndToEndCase& c : e2e) {
-    std::printf("%5zu %6zu %8.2f %7zu %8lld | %12.1f %12.1f %7.2fx\n", c.m,
-                c.n, c.density, c.solves, c.iterations, c.dense_us,
-                c.sparse_us, c.speedup);
+    std::printf("%5zu %6zu %8.2f %7zu %8lld | %12.1f %12.1f %7.2fx | %12.2f\n",
+                c.m, c.n, c.density, c.solves, c.iterations, c.dense_us,
+                c.sparse_us, c.speedup, us_per_pivot(c.sparse_us, c));
   }
 
   // Evaluator replay: baseline vs pool warm starts over a population walk.
@@ -551,18 +617,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"lp_simplex\",\n  \"kernel_grid\": [\n");
+  std::fprintf(f, "{\n  \"bench\": \"lp_simplex\",\n");
+  std::fprintf(f,
+               "  \"hardware\": {\"cpu_model\": \"%s\", \"hardware_threads\": "
+               "%u, \"compiler\": \"%s\", \"threads_used\": 1},\n",
+               cpu_model().c_str(), std::thread::hardware_concurrency(),
+               compiler().c_str());
+  std::fprintf(f, "  \"kernel_grid\": [\n");
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const KernelCase& c = kernels[i];
     std::fprintf(
         f,
         "    {\"m\": %zu, \"n\": %zu, \"density\": %.3f, \"nnz_frac\": %.4f, "
         "\"pricing_dense_ns_per_col\": %.2f, \"pricing_sparse_ns_per_col\": "
-        "%.2f, \"pricing_speedup\": %.3f, \"ftran_dense_ns_per_col\": %.2f, "
-        "\"ftran_sparse_ns_per_col\": %.2f, \"ftran_speedup\": %.3f}%s\n",
+        "%.2f, \"pricing_panel_ns_per_col\": %.2f, \"pricing_speedup\": "
+        "%.3f, \"pricing_panel_speedup\": %.3f, \"ftran_dense_ns_per_col\": "
+        "%.2f, \"ftran_sparse_ns_per_col\": %.2f, \"ftran_speedup\": "
+        "%.3f}%s\n",
         c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns,
-        c.pricing_sparse_ns, c.pricing_speedup, c.ftran_dense_ns,
-        c.ftran_sparse_ns, c.ftran_speedup,
+        c.pricing_sparse_ns, c.pricing_panel_ns, c.pricing_speedup,
+        c.pricing_panel_speedup, c.ftran_dense_ns, c.ftran_sparse_ns,
+        c.ftran_speedup,
         i + 1 < kernels.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"end_to_end\": [\n");
@@ -572,9 +647,11 @@ int main(int argc, char** argv) {
         f,
         "    {\"services_m\": %zu, \"bundles_n\": %zu, \"density\": %.3f, "
         "\"solves\": %zu, \"total_pivots\": %lld, \"dense_us_per_solve\": "
-        "%.2f, \"sparse_us_per_solve\": %.2f, \"speedup\": %.3f}%s\n",
+        "%.2f, \"sparse_us_per_solve\": %.2f, \"speedup\": %.3f, "
+        "\"dense_us_per_pivot\": %.3f, \"sparse_us_per_pivot\": %.3f}%s\n",
         c.m, c.n, c.density, c.solves, c.iterations, c.dense_us, c.sparse_us,
-        c.speedup, i + 1 < e2e.size() ? "," : "");
+        c.speedup, us_per_pivot(c.dense_us, c), us_per_pivot(c.sparse_us, c),
+        i + 1 < e2e.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"evaluator_replay\": [\n");
   for (std::size_t i = 0; i < replay.size(); ++i) {

@@ -41,10 +41,11 @@ struct EvalContext {
   /// Builds (and validates, and baseline-solves) the relaxation family for
   /// this context alone.
   explicit EvalContext(const Instance& instance);
-  /// Clones the relaxation structure from a shared, already-validated
-  /// family — a multi-participant evaluator builds ONE RelaxationFamily and
-  /// stamps out per-thread contexts from it, so the matrix is built/validated
-  /// and the baseline LP solved once per evaluator instead of once per thread.
+  /// Shares the relaxation structure of a shared, already-validated family
+  /// — a multi-participant evaluator builds ONE RelaxationFamily and stamps
+  /// out per-thread contexts from it, so the matrix is built/validated, its
+  /// pricing panel built and the baseline LP solved once per evaluator
+  /// instead of once per thread.
   EvalContext(const Instance& instance, const cover::RelaxationFamily& shared);
 
   const Instance* inst;

@@ -52,8 +52,9 @@ struct Relaxation {
 /// Shared per-instance relaxation structure: the constraint matrix, slack
 /// layout and bounds of the relaxation LP are identical across every solve
 /// of a run — only the cost vector moves with the UL pricing — so build and
-/// validate them once, then clone the (cheap-to-copy, never re-validated)
-/// ProblemFamily into each EvalContext and rebind() costs per evaluation.
+/// validate them (and build their pricing panel) once, then copy the
+/// ProblemFamily into each EvalContext — a copy shares the constraints and
+/// panel and owns only its objective — and rebind() costs per evaluation.
 struct RelaxationFamily {
   /// Validated prototype with the instance's base costs as the objective.
   lp::ProblemFamily family;

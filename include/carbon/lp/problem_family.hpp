@@ -3,12 +3,16 @@
 // solve. Within a CARBON/COBRA run every LL relaxation shares one constraint
 // matrix — only the UL pricing moves the costs — so validating, copying and
 // re-allocating the whole lp::Problem on every evaluation is pure waste.
-// ProblemFamily validates once at construction and exposes a cost-only
-// rebind(); lp::solve(family, ...) then skips per-solve validation entirely.
+// ProblemFamily validates once at construction, builds the pricing panel
+// once, and exposes a cost-only rebind(); lp::solve(family, ...) then skips
+// per-solve validation and panel construction entirely.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <vector>
 
+#include "carbon/lp/pricing_panel.hpp"
 #include "carbon/lp/problem.hpp"
 
 namespace carbon::lp {
@@ -20,11 +24,15 @@ class ProblemFamily {
   /// Copying a family does NOT re-validate (the invariant is preserved).
   explicit ProblemFamily(Problem problem);
 
-  /// Copies share the validated problem but start their own rebind count —
-  /// each EvalContext clones the shared prototype and counts locally.
-  ProblemFamily(const ProblemFamily& other) : p_(other.p_) {}
+  /// Copies share the frozen constraint data and the pricing panel (one
+  /// reference-counted pointer), copy only the objective vector, and start
+  /// their own rebind count — each EvalContext clones the shared prototype,
+  /// rebinds its own costs and counts locally.
+  ProblemFamily(const ProblemFamily& other)
+      : frozen_(other.frozen_), objective_(other.objective_) {}
   ProblemFamily& operator=(const ProblemFamily& other) {
-    p_ = other.p_;
+    frozen_ = other.frozen_;
+    objective_ = other.objective_;
     rebinds_ = 0;
     return *this;
   }
@@ -39,14 +47,33 @@ class ProblemFamily {
   /// saved from a previous solve of this family stays primal-feasible.
   void rebind(std::span<const double> c);
 
-  [[nodiscard]] const Problem& problem() const noexcept { return p_; }
+  /// The current objective (construction costs overwritten by rebinds).
+  [[nodiscard]] std::span<const double> objective() const noexcept {
+    return objective_;
+  }
+  /// The frozen constraint data shared by every copy. Its `objective`
+  /// member keeps the costs the family was constructed with; the costs a
+  /// solve uses are objective().
+  [[nodiscard]] const Problem& constraints() const noexcept {
+    return frozen_->problem;
+  }
+  /// The pricing panel of constraints(), built once and shared by copies.
+  [[nodiscard]] const PricingPanel& panel() const noexcept {
+    return frozen_->panel;
+  }
 
   /// Number of rebind() calls since this object was constructed or copied
   /// (feeds the lp/family_rebinds backend counter).
   [[nodiscard]] long long rebinds() const noexcept { return rebinds_; }
 
  private:
-  Problem p_;
+  struct Frozen {
+    Problem problem;
+    PricingPanel panel;
+  };
+
+  std::shared_ptr<const Frozen> frozen_;
+  std::vector<double> objective_;
   long long rebinds_ = 0;
 };
 

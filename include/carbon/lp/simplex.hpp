@@ -7,22 +7,28 @@
 // per-evaluation LP bounds affordable inside an evolutionary loop.
 //
 // The inverse basis is maintained densely with product-form pivot updates and
-// periodic refactorization (Gauss-Jordan with partial pivoting), but every
-// kernel that touches constraint columns — pricing (column_dot), FTRAN
-// column formation, crash/residual accumulation, basis assembly — iterates
-// only the stored nonzeros. Skipping a `+= 0.0` term (and transposing a loop
-// whose skipped terms are exact zeros) is IEEE-exact, so the pivot sequence,
-// duals and primal values are bit-for-bit identical to the dense reference
-// kernels; SimplexOptions::use_dense_kernels keeps that reference path alive
-// for differential tests and benchmarks. Pricing is Dantzig's rule with an
-// automatic switch to Bland's rule after a stall threshold, which guarantees
-// termination.
+// periodic refactorization (Gauss-Jordan with partial pivoting). Pricing —
+// the reduced cost of every column, once per pivot, which is where the solver
+// spends most of its time — runs over a PricingPanel: the structural columns
+// tiled 8 wide, so one pass over a tile's rows computes 8 dot products with
+// independent accumulators. Every other kernel that touches constraint
+// columns (FTRAN column formation, crash/residual accumulation, basis
+// assembly) iterates only the stored nonzeros. Skipping a `+= 0.0` term, or
+// adding one to a sum that started at +0.0, is IEEE-exact for finite duals,
+// so the pivot sequence, duals and primal values are bit-for-bit identical to
+// the dense reference kernels; SimplexOptions::use_dense_kernels keeps that
+// reference path alive for differential tests and benchmarks. Pricing is
+// Dantzig's rule with an automatic switch to Bland's rule after a stall
+// threshold, which guarantees termination.
 #pragma once
 
 #include <cstddef>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "carbon/lp/dense_matrix.hpp"
+#include "carbon/lp/pricing_panel.hpp"
 #include "carbon/lp/problem.hpp"
 #include "carbon/lp/problem_family.hpp"
 
@@ -40,8 +46,8 @@ struct SimplexOptions {
   double pivot_tol = 1e-9;
   /// Route pricing/FTRAN/accumulation through dense reference kernels that
   /// materialize every column (the pre-sparse implementation). Produces
-  /// bit-identical solutions to the sparse kernels; exists for differential
-  /// tests and the dense-vs-sparse microbenchmark.
+  /// bit-identical solutions to the panel pricing and sparse kernels; exists
+  /// for differential tests and the dense-vs-sparse microbenchmark.
   bool use_dense_kernels = false;
 };
 
@@ -58,6 +64,35 @@ struct Basis {
 namespace detail {
 /// Nonbasic/basic marker for every column (structural, slack, artificial).
 enum class VarStatus : unsigned char { kAtLower, kAtUpper, kBasic };
+
+/// The entering column of one pricing step.
+struct EnteringChoice {
+  std::size_t index;  ///< dir.size() when no column may enter (optimal)
+  double sigma;       ///< +1 increases from lower, -1 decreases from upper
+};
+
+/// Pricing direction of a column: -1 at its lower bound, +1 at its upper
+/// bound, NaN when it may not enter (basic, or fixed with lower == upper).
+/// A column's pricing score is direction * reduced cost, so -d at lower, +d
+/// at upper, and NaN (never eligible) otherwise.
+[[nodiscard]] inline double entering_direction(VarStatus status, double lower,
+                                               double upper) noexcept {
+  if (status == VarStatus::kBasic || lower == upper) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return status == VarStatus::kAtLower ? -1.0 : 1.0;
+}
+
+/// Chooses the entering column from the pricing directions `dir` (see
+/// entering_direction) and reduced costs `d`, one each per column. Dantzig
+/// (`bland` false): the lowest index with the strictly greatest score above
+/// `optimality_tol`. Bland: the lowest index whose score is above
+/// `optimality_tol`. A NaN score (basic or fixed column, NaN reduced cost)
+/// never enters.
+[[nodiscard]] EnteringChoice choose_entering(std::span<const double> dir,
+                                             std::span<const double> d,
+                                             double optimality_tol,
+                                             bool bland);
 }  // namespace detail
 
 /// Reusable per-solve working memory for the simplex. A fresh SimplexSolver
@@ -72,20 +107,22 @@ struct SolveScratch {
   std::vector<detail::VarStatus> status, status_cand;
   std::vector<unsigned char> mark;
   std::vector<std::size_t> basis;
-  std::vector<double> xb, y, alpha, work, work2, col;
+  std::vector<double> xb, y, d, dir, alpha, work, work2, col;
   DenseMatrix binv, refactor;
 };
 
 /// Solves `problem` (minimization). The problem must pass validate().
 /// When `warm` is non-null and holds a compatible basis, the solve starts
 /// from it (skipping Phase 1); on optimal exit the basis is written back.
+/// Builds the problem's pricing panel for this one solve.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {},
                              Basis* warm = nullptr);
 
-/// Family fast path: skips validation (done once by ProblemFamily) and, when
-/// `scratch` is non-null, reuses its buffers instead of allocating. Results
-/// are bit-identical to solve(family.problem(), options, warm).
+/// Family fast path: skips validation and panel construction (done once by
+/// ProblemFamily) and, when `scratch` is non-null, reuses its buffers instead
+/// of allocating. Results are bit-identical to a plain solve of
+/// family.constraints() with family.objective() as its objective.
 [[nodiscard]] Solution solve(const ProblemFamily& family,
                              const SimplexOptions& options = {},
                              Basis* warm = nullptr,
@@ -96,14 +133,20 @@ namespace detail {
 /// Internal solver exposed for white-box testing.
 class SimplexSolver {
  public:
-  SimplexSolver(const Problem& problem, const SimplexOptions& options,
+  /// Solves min objective'x over `problem`'s constraints (of its own
+  /// `objective` member only the size is used). `panel` must be the pricing
+  /// panel of `problem`, or null to build one for this solve.
+  SimplexSolver(const Problem& problem, std::span<const double> objective,
+                const PricingPanel* panel, const SimplexOptions& options,
                 SolveScratch* scratch = nullptr);
   Solution run(Basis* warm = nullptr);
 
  private:
   // Column j of the full (structural + slack + artificial) matrix, densely.
   void full_column(std::size_t j, std::vector<double>& out) const;
-  double column_dot(std::size_t j, const std::vector<double>& y) const;
+  /// d[j] = cost_[j] - A_j . y for every column (structural, slack,
+  /// artificial).
+  void price(const std::vector<double>& y, std::vector<double>& d) const;
   /// out[i] += scale * A(i, j) over the stored nonzeros of column j.
   void axpy_column(std::size_t j, double scale, std::vector<double>& out) const;
   /// alpha = B^-1 A_j (the simplex FTRAN); tracks skipped MACs.
@@ -129,11 +172,15 @@ class SimplexSolver {
   bool refactorize();
   void recompute_basic_values();
   double nonbasic_value(std::size_t j) const;
+  double direction(std::size_t j) const {
+    return entering_direction(status_[j], lower_[j], upper_[j]);
+  }
   /// Drives remaining basic artificials out (or pins redundant rows).
   void purge_artificials();
   void export_stats(Solution& sol) const;
 
   const Problem& p_;
+  std::span<const double> objective_;
   SimplexOptions opt_;
 
   std::size_t n_struct_ = 0;  // structural variables
@@ -154,6 +201,11 @@ class SimplexSolver {
   std::vector<double>& slack_sign_;  // +1 for <=/=, -1 for >=
   std::vector<double>& art_sign_;    // chosen at phase-1 setup
 
+  // Pricing panel of p_: the family's shared one, or own_panel_ built for a
+  // plain solve. Unused (null) on the dense reference path.
+  PricingPanel own_panel_;
+  const PricingPanel* panel_ = nullptr;
+
   // Dense reference path only: structural columns materialized with their
   // zeros, exactly as the pre-sparse Problem stored them.
   std::vector<std::vector<double>> dense_cols_;
@@ -169,6 +221,8 @@ class SimplexSolver {
   std::vector<unsigned char>& mark_;
   DenseMatrix& refactor_;
   std::vector<double>& y_;
+  std::vector<double>& d_;
+  std::vector<double>& dir_;  // entering_direction of every column
   std::vector<double>& alpha_;
   std::vector<double>& work_;
   std::vector<double>& work2_;

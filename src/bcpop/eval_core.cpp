@@ -88,8 +88,8 @@ EvalContext::EvalContext(const Instance& instance,
                          const cover::RelaxationFamily& shared)
     : inst(&instance),
       ll(instance.market()),
-      // Copying the family clones the validated problem without
-      // re-validating; the baseline basis (optimal for the base costs,
+      // Copying the family shares the validated constraints and pricing
+      // panel and copies only the objective; the baseline basis (optimal for the base costs,
       // primal-feasible under any leader pricing — costs only enter the
       // objective) was pinned once when `shared` was built. An empty
       // baseline means the base market is not coverable; later solves then

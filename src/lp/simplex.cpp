@@ -9,29 +9,132 @@
 
 namespace carbon::lp {
 
+PricingPanel::PricingPanel(const Problem& problem)
+    : num_cols_(problem.num_vars()), num_rows_(problem.num_rows()) {
+  const std::size_t tiles = (num_cols_ + kWidth - 1) / kWidth;
+  tile_begin_.reserve(tiles + 1);
+  tile_begin_.push_back(0);
+  // One tile at a time: scatter its columns into a dense rows x kWidth
+  // block (zero where a column has no entry), then emit the rows any column
+  // touched, in ascending order.
+  std::vector<double> block(num_rows_ * kWidth, 0.0);
+  std::vector<unsigned char> touched(num_rows_, 0);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    const std::size_t first = t * kWidth;
+    const std::size_t width = std::min(kWidth, num_cols_ - first);
+    for (std::size_t l = 0; l < width; ++l) {
+      const SparseColumn& col = problem.columns[first + l];
+      for (std::size_t k = 0; k < col.nnz(); ++k) {
+        const auto r = static_cast<std::size_t>(col.rows[k]);
+        block[r * kWidth + l] = col.values[k];
+        touched[r] = 1;
+      }
+    }
+    for (std::size_t r = 0; r < num_rows_; ++r) {
+      if (!touched[r]) continue;
+      rows_.push_back(static_cast<std::int32_t>(r));
+      double* src = block.data() + r * kWidth;
+      coef_.insert(coef_.end(), src, src + kWidth);
+      std::fill(src, src + kWidth, 0.0);
+      touched[r] = 0;
+    }
+    tile_begin_.push_back(static_cast<std::uint32_t>(rows_.size()));
+  }
+}
+
+void PricingPanel::dot_all(std::span<const double> y,
+                           std::span<double> out) const {
+  const std::size_t tiles = num_tiles();
+  for (std::size_t t = 0; t < tiles; ++t) {
+    // kWidth independent accumulators, each the ascending-row sum of one
+    // column; the fixed-width inner loop maps onto vector lanes without
+    // reassociating any column's sum.
+    double acc[kWidth] = {};
+    const std::size_t end = tile_begin_[t + 1];
+    for (std::size_t e = tile_begin_[t]; e < end; ++e) {
+      const double yi = y[static_cast<std::size_t>(rows_[e])];
+      const double* c = coef_.data() + e * kWidth;
+      for (std::size_t l = 0; l < kWidth; ++l) acc[l] += c[l] * yi;
+    }
+    const std::size_t first = t * kWidth;
+    const std::size_t width = std::min(kWidth, num_cols_ - first);
+    std::copy(acc, acc + width,
+              out.begin() + static_cast<std::ptrdiff_t>(first));
+  }
+}
+
 Solution solve(const Problem& problem, const SimplexOptions& options,
                Basis* warm) {
   const std::string err = problem.validate();
   if (!err.empty()) {
     throw std::invalid_argument("lp::solve: malformed problem: " + err);
   }
-  detail::SimplexSolver solver(problem, options);
+  detail::SimplexSolver solver(problem, problem.objective, nullptr, options);
   return solver.run(warm);
 }
 
 Solution solve(const ProblemFamily& family, const SimplexOptions& options,
                Basis* warm, SolveScratch* scratch) {
-  // ProblemFamily validated at construction; no per-solve validation.
-  detail::SimplexSolver solver(family.problem(), options, scratch);
+  // ProblemFamily validated and built the panel at construction.
+  detail::SimplexSolver solver(family.constraints(), family.objective(),
+                               &family.panel(), options, scratch);
   return solver.run(warm);
 }
 
 namespace detail {
 
+EnteringChoice choose_entering(std::span<const double> dir,
+                               std::span<const double> d,
+                               double optimality_tol, bool bland) {
+  const std::size_t n = dir.size();
+  // score > optimality_tol is exactly "eligible": at lower d < -tol, at upper
+  // d > tol; a NaN score compares false.
+  if (bland) {  // first eligible index
+    for (std::size_t j = 0; j < n; ++j) {
+      if (dir[j] * d[j] > optimality_tol) return {j, -dir[j]};
+    }
+    return {n, 0.0};
+  }
+  // Dantzig: the lowest index with the strictly greatest score. Scores are
+  // taken 8 at a time; a block's maximum (NaN-free, as every comparison
+  // with NaN is false) does not depend on the running best, so the only
+  // branch that reads the best is the rare "this block improves it" test,
+  // and only then is the block rescanned in index order.
+  std::size_t best_j = n;
+  double best = optimality_tol;
+  const auto improve = [&](std::size_t j, double score) {
+    if (score > best) {
+      best = score;
+      best_j = j;
+    }
+  };
+  std::size_t j0 = 0;
+  for (; j0 + 8 <= n; j0 += 8) {
+    double score[8];
+    double lane_max[4] = {-kInfinity, -kInfinity, -kInfinity, -kInfinity};
+    for (std::size_t l = 0; l < 8; ++l) {
+      score[l] = dir[j0 + l] * d[j0 + l];
+      double& m = lane_max[l % 4];
+      m = score[l] > m ? score[l] : m;
+    }
+    const double m01 = lane_max[1] > lane_max[0] ? lane_max[1] : lane_max[0];
+    const double m23 = lane_max[3] > lane_max[2] ? lane_max[3] : lane_max[2];
+    if ((m23 > m01 ? m23 : m01) > best) {
+      for (std::size_t l = 0; l < 8; ++l) improve(j0 + l, score[l]);
+    }
+  }
+  for (std::size_t j = j0; j < n; ++j) improve(j, dir[j] * d[j]);
+  return best_j == n ? EnteringChoice{n, 0.0}
+                     : EnteringChoice{best_j, -dir[best_j]};
+}
+
 SimplexSolver::SimplexSolver(const Problem& problem,
+                             std::span<const double> objective,
+                             const PricingPanel* panel,
                              const SimplexOptions& options,
                              SolveScratch* scratch)
     : p_(problem),
+      objective_(objective),
       opt_(options),
       cost_(scratch ? scratch->cost : own_.cost),
       lower_(scratch ? scratch->lower : own_.lower),
@@ -47,6 +150,8 @@ SimplexSolver::SimplexSolver(const Problem& problem,
       mark_(scratch ? scratch->mark : own_.mark),
       refactor_(scratch ? scratch->refactor : own_.refactor),
       y_(scratch ? scratch->y : own_.y),
+      d_(scratch ? scratch->d : own_.d),
+      dir_(scratch ? scratch->dir : own_.dir),
       alpha_(scratch ? scratch->alpha : own_.alpha),
       work_(scratch ? scratch->work : own_.work),
       work2_(scratch ? scratch->work2 : own_.work2) {
@@ -87,7 +192,13 @@ SimplexSolver::SimplexSolver(const Problem& problem,
     }
   }
 
-  if (opt_.use_dense_kernels) {
+  if (!opt_.use_dense_kernels) {
+    if (panel == nullptr) {
+      own_panel_ = PricingPanel(p_);
+      panel = &own_panel_;
+    }
+    panel_ = panel;
+  } else {
     // Materialize the structural columns with their zeros — the layout (and
     // memory traffic) of the pre-sparse implementation.
     dense_cols_.assign(n_struct_, std::vector<double>(m_, 0.0));
@@ -119,30 +230,23 @@ void SimplexSolver::full_column(std::size_t j, std::vector<double>& out) const {
   }
 }
 
-double SimplexSolver::column_dot(std::size_t j,
-                                 const std::vector<double>& y) const {
-  if (j < n_struct_) {
-    if (opt_.use_dense_kernels) {
+void SimplexSolver::price(const std::vector<double>& y,
+                          std::vector<double>& d) const {
+  if (opt_.use_dense_kernels) {
+    for (std::size_t j = 0; j < n_struct_; ++j) {
       const auto& col = dense_cols_[j];
       double acc = 0.0;
       for (std::size_t i = 0; i < m_; ++i) acc += col[i] * y[i];
-      return acc;
+      d[j] = acc;
     }
-    // Skipped terms are exact zeros (0.0 * y_i adds +-0.0, which never
-    // changes a sum that starts at +0.0), so this is bit-identical to the
-    // dense loop.
-    const SparseColumn& col = p_.columns[j];
-    const std::size_t nnz = col.nnz();
-    double acc = 0.0;
-    for (std::size_t k = 0; k < nnz; ++k) {
-      acc += col.values[k] * y[static_cast<std::size_t>(col.rows[k])];
-    }
-    return acc;
+  } else {
+    panel_->dot_all(y, d);
   }
-  if (j < n_struct_ + m_) {
-    return slack_sign_[j - n_struct_] * y[j - n_struct_];
+  for (std::size_t j = 0; j < n_struct_; ++j) d[j] = cost_[j] - d[j];
+  for (std::size_t i = 0; i < m_; ++i) {
+    d[n_struct_ + i] = cost_[n_struct_ + i] - slack_sign_[i] * y[i];
+    d[n_struct_ + m_ + i] = cost_[n_struct_ + m_ + i] - art_sign_[i] * y[i];
   }
-  return art_sign_[j - n_struct_ - m_] * y[j - n_struct_ - m_];
 }
 
 void SimplexSolver::axpy_column(std::size_t j, double scale,
@@ -400,7 +504,7 @@ bool SimplexSolver::try_crash_start(bool structural_at_upper) {
 
 void SimplexSolver::enter_phase2() {
   cost_.assign(n_total_, 0.0);
-  for (std::size_t j = 0; j < n_struct_; ++j) cost_[j] = p_.objective[j];
+  for (std::size_t j = 0; j < n_struct_; ++j) cost_[j] = objective_[j];
   // Artificials must never re-enter: pin them to zero.
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t aj = n_struct_ + m_ + i;
@@ -464,6 +568,13 @@ void SimplexSolver::recompute_basic_values() {
 SolveStatus SimplexSolver::iterate(bool phase1) {
   std::vector<double>& y = y_;
   y.assign(m_, 0.0);
+  std::vector<double>& d = d_;
+  d.assign(n_total_, 0.0);
+  // Statuses and bounds change between iterate() calls (start basis, phase
+  // switch, artificial purge); inside it only the pivots below change them,
+  // and each refreshes the directions of the columns it moved.
+  dir_.resize(n_total_);
+  for (std::size_t j = 0; j < n_total_; ++j) dir_[j] = direction(j);
   std::vector<double>& alpha = alpha_;
   alpha.assign(m_, 0.0);
   int phase_iterations = 0;
@@ -482,37 +593,17 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
 
     // Pricing. Entering direction sigma: +1 when increasing from lower,
     // -1 when decreasing from upper.
-    const bool bland = phase_iterations >= opt_.bland_threshold;
-    std::size_t entering = n_total_;
-    double entering_sigma = 0.0;
-    double best_score = opt_.optimality_tol;
-    for (std::size_t j = 0; j < n_total_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      if (lower_[j] == upper_[j]) continue;  // fixed variable
-      const double d = cost_[j] - column_dot(j, y);
-      double score = 0.0;
-      double sigma = 0.0;
-      if (status_[j] == VarStatus::kAtLower && d < -opt_.optimality_tol) {
-        score = -d;
-        sigma = 1.0;
-      } else if (status_[j] == VarStatus::kAtUpper &&
-                 d > opt_.optimality_tol) {
-        score = d;
-        sigma = -1.0;
-      } else {
-        continue;
-      }
-      if (bland) {  // first eligible index
-        entering = j;
-        entering_sigma = sigma;
-        break;
-      }
-      if (score > best_score) {
-        best_score = score;
-        entering = j;
-        entering_sigma = sigma;
-      }
+    price(y, d);
+    if (opt_.use_dense_kernels) {
+      // Reference path: directions straight from the statuses every pivot,
+      // so the differential tests check the incremental updates below.
+      for (std::size_t j = 0; j < n_total_; ++j) dir_[j] = direction(j);
     }
+    const bool bland = phase_iterations >= opt_.bland_threshold;
+    const EnteringChoice choice =
+        choose_entering(dir_, d, opt_.optimality_tol, bland);
+    const std::size_t entering = choice.index;
+    const double entering_sigma = choice.sigma;
     if (entering == n_total_) {
       return SolveStatus::kOptimal;  // no improving direction
     }
@@ -568,6 +659,7 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
       }
       status_[entering] = entering_sigma > 0.0 ? VarStatus::kAtUpper
                                                : VarStatus::kAtLower;
+      dir_[entering] = direction(entering);
       continue;
     }
 
@@ -592,6 +684,8 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
     xb_[leaving_row] = nonbasic_value(entering) + entering_sigma * t_max;
     basis_[leaving_row] = entering;
     status_[entering] = VarStatus::kBasic;
+    dir_[leaving_var] = direction(leaving_var);
+    dir_[entering] = direction(entering);
 
     // Product-form update of B^-1. A rank-1 update row whose pivot-column
     // entry is exactly zero is skipped — the update would add 0 * row, which
@@ -711,16 +805,17 @@ Solution SimplexSolver::run(Basis* warm) {
 
   sol.objective = 0.0;
   for (std::size_t j = 0; j < n_struct_; ++j) {
-    sol.objective += p_.objective[j] * sol.x[j];
+    sol.objective += objective_[j] * sol.x[j];
   }
 
   // Duals and reduced costs.
   sol.duals.assign(m_, 0.0);
   compute_duals(sol.duals);
-  sol.reduced_costs.assign(n_struct_, 0.0);
-  for (std::size_t j = 0; j < n_struct_; ++j) {
-    sol.reduced_costs[j] = p_.objective[j] - column_dot(j, sol.duals);
-  }
+  // Phase 2 priced with cost_[j] == objective_[j] for every structural j.
+  d_.assign(n_total_, 0.0);
+  price(sol.duals, d_);
+  sol.reduced_costs.assign(d_.begin(),
+                           d_.begin() + static_cast<std::ptrdiff_t>(n_struct_));
   // Basis contains no artificials here unless a redundant row pinned one;
   // such a basis still warm-starts correctly (the artificial is fixed at 0),
   // but we only export clean bases to keep the contract simple.

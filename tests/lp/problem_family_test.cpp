@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -63,7 +64,7 @@ TEST(ProblemFamily, RebindCopiesPrefixAndCountsCalls) {
   const std::vector<double> prefix = {1.5, 2.5, 3.5};
   fam.rebind(prefix);
   EXPECT_EQ(fam.rebinds(), 1);
-  const std::vector<double>& obj = fam.problem().objective;
+  const std::span<const double> obj = fam.objective();
   EXPECT_EQ(obj[0], 1.5);
   EXPECT_EQ(obj[1], 2.5);
   EXPECT_EQ(obj[2], 3.5);
@@ -79,7 +80,7 @@ TEST(ProblemFamily, RebindCopiesPrefixAndCountsCalls) {
   // Copies share the validated problem but start their own rebind count.
   const ProblemFamily copy(fam);
   EXPECT_EQ(copy.rebinds(), 0);
-  EXPECT_EQ(copy.problem().objective, fam.problem().objective);
+  EXPECT_TRUE(std::ranges::equal(copy.objective(), fam.objective()));
   ProblemFamily assigned(covering_problem({1, 1, 1, 1, 1, 1}));
   assigned.rebind(prefix);
   EXPECT_EQ(assigned.rebinds(), 1);
@@ -114,7 +115,9 @@ TEST(ProblemFamily, FamilySolveMatchesPlainSolveAcrossRebinds) {
     // The written-back bases must match too — they seed the next step.
     EXPECT_EQ(plain_warm.status, family_warm.status);
     EXPECT_EQ(plain_warm.basic_vars, family_warm.basic_vars);
-    if (step > 0) EXPECT_TRUE(got.warm_start_used);
+    if (step > 0) {
+      EXPECT_TRUE(got.warm_start_used);
+    }
   }
   EXPECT_EQ(fam.rebinds(), static_cast<long long>(walk.size()));
 }

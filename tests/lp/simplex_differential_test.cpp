@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "carbon/common/rng.hpp"
+#include "carbon/cover/generator.hpp"
+#include "carbon/cover/relaxation.hpp"
 #include "carbon/lp/simplex.hpp"
 
 namespace carbon::lp {
@@ -197,6 +199,47 @@ TEST(SimplexDifferential, UnboundedLps) {
     EXPECT_EQ(sparse.status, SolveStatus::kUnbounded);
     EXPECT_EQ(dense.status, SolveStatus::kUnbounded);
     EXPECT_EQ(sparse.iterations, dense.iterations);
+  }
+}
+
+TEST(SimplexDifferential, PaperClassRelaxationsFromTheBaselineBasis) {
+  // The LPs the solvers actually price: paper classes 0, 4 and 8 at the
+  // generator's default density of 0.75, each solve warm-started from the
+  // RelaxationFamily baseline basis after rebinding the leader-owned prefix
+  // (the first n/10 bundles), exactly as eval_core does. The production
+  // path (shared pricing panel, reused SolveScratch) must match the dense
+  // reference bitwise, saved basis included.
+  for (const std::size_t cls : {0u, 4u, 8u}) {
+    const cover::Instance inst = cover::make_paper_instance(cls);
+    const cover::RelaxationFamily shared(inst);
+    ASSERT_FALSE(shared.baseline_basis.empty()) << "class " << cls;
+    ProblemFamily prod = shared.family;
+    ProblemFamily dense = shared.family;
+    SolveScratch prod_scratch;
+    SolveScratch dense_scratch;
+    const std::size_t owned = inst.num_bundles() / 10;
+    common::Rng rng(900 + cls);
+    for (int rep = 0; rep < 4; ++rep) {
+      SCOPED_TRACE("class " + std::to_string(cls) + " rep " +
+                   std::to_string(rep));
+      std::vector<double> prices(owned);
+      for (std::size_t j = 0; j < owned; ++j) {
+        prices[j] = inst.cost(j) * rng.uniform(0.0, 3.0);
+      }
+      prod.rebind(prices);
+      dense.rebind(prices);
+      Basis prod_basis = shared.baseline_basis;
+      Basis dense_basis = shared.baseline_basis;
+      const Solution want =
+          solve(dense, dense_opts(), &dense_basis, &dense_scratch);
+      const Solution got = solve(prod, {}, &prod_basis, &prod_scratch);
+      ASSERT_TRUE(got.optimal());
+      EXPECT_TRUE(got.warm_start_used);
+      expect_bitwise_equal(got, want);
+      EXPECT_EQ(got.basis_saved, want.basis_saved);
+      EXPECT_EQ(prod_basis.status, dense_basis.status);
+      EXPECT_EQ(prod_basis.basic_vars, dense_basis.basic_vars);
+    }
   }
 }
 

@@ -28,7 +28,10 @@ cd "$(dirname "$0")/.."
 # hammered from pool workers while a reader snapshots), and the LP
 # dense-vs-sparse differential suite (the sparse kernels index through
 # CSC arrays in every inner loop; ASan/UBSan verify those accesses on
-# randomized degenerate/infeasible/unbounded instances), the
+# randomized degenerate/infeasible/unbounded instances, and the paper-class
+# relaxations solved through a shared pricing panel) and the pricing-panel
+# kernel suite (tile offsets, ragged last tiles and the padded coefficient
+# block are raw index arithmetic; ASan/UBSan check every access), the
 # checkpoint kill/resume harness (checkpoints are written mid-run while
 # a multi-participant evaluator is live; the bit-identical-resume
 # assertions run at eval_threads 4, so TSan sees the full
@@ -56,7 +59,7 @@ TESTS=(thread_pool_test task_scheduler_test metrics_test
        relaxation_cache_test score_cache_test
        bcpop_evaluator_test parallel_evaluator_test eval_oracle_test
        gp_compiled_test
-       simplex_differential_test checkpoint_resume_test
+       simplex_differential_test pricing_panel_test checkpoint_resume_test
        gp_simd_eval_test greedy_incremental_test
        guard_test guard_degradation_test
        basis_pool_test pool_golden_test
